@@ -7,15 +7,16 @@ Exit codes: 0 success, 1 theorem hypotheses fail, 2 parse/argument error,
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
-from dataclasses import dataclass
+import tempfile
 from pathlib import Path
 
 from . import masks
-from .complexes import SimplicialComplex, glue_simplex, join, k2r_family, wedge
-from .double import h_ranks, hh_ranks
+from .cohomology import CohomologyEngine
+from .complexes import glue_simplex, join, k2r_family, wedge
+from .double import DEFAULT_MAX_M, h_ranks, hh_ranks
 from .errors import (
     BadSigma,
     BoundaryMissing,
@@ -41,18 +42,6 @@ from .serialization import (
 )
 from .theorem import verify_theorem1
 
-DEFAULT_MAX_M = 22
-
-
-@dataclass
-class RunConfig:
-    field: Field
-    threads: int
-    max_m: int
-    fmt: str
-    verify_exact: bool
-    out: str | None
-
 
 def _parse_field(spec: str) -> Field:
     if spec == "q":
@@ -69,22 +58,6 @@ def _parse_field(spec: str) -> Field:
     raise ParseError(f"bad field spec {spec!r} (use q or gf:<odd prime>)")
 
 
-def _default_threads() -> str:
-    return os.environ.get("MACHH_THREADS", "1")
-
-
-def _parse_threads(spec: str) -> int:
-    if spec == "auto":
-        return os.cpu_count() or 1
-    try:
-        n = int(spec)
-    except ValueError:
-        raise ParseError(f"bad thread count {spec!r}")
-    if n < 1:
-        raise ParseError("thread count must be >= 1")
-    return n
-
-
 def _parse_vertex_list(spec: str) -> list[int]:
     try:
         return [int(x) for x in spec.split(",") if x.strip() != ""]
@@ -92,28 +65,37 @@ def _parse_vertex_list(spec: str) -> list[int]:
         raise ParseError(f"bad vertex list {spec!r}")
 
 
-def _config(args) -> RunConfig:
-    max_m = args.max_m
-    if max_m < 1 or max_m > masks.MAX_GROUND_SET:
+def _field_and_cap(args) -> tuple[Field, int]:
+    """The validated ``--field`` and ``--max-m`` of a computing subcommand."""
+    if args.max_m < 1 or args.max_m > masks.MAX_GROUND_SET:
         raise ParseError(f"--max-m must be in 1..{masks.MAX_GROUND_SET}")
-    return RunConfig(
-        field=_parse_field(args.field),
-        threads=_parse_threads(args.threads),
-        max_m=max_m,
-        fmt=args.format,
-        verify_exact=args.verify_exact,
-        out=args.out,
-    )
+    return _parse_field(args.field), args.max_m
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write the finished document; never leaves a partial file behind."""
+    """Write the finished document.
+
+    A file target is written to a fresh temporary file in its directory and
+    renamed over the target, so concurrent runs never share a temporary name
+    and no partial or temporary file is left behind.
+    """
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = Path(out).with_suffix(Path(out).suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(out)
+    target = Path(out)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+        tmp = None
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,90 +105,94 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default="q", help="q (exact rationals) or gf:<odd prime>")
-        p.add_argument("--threads", default=_default_threads(), help="worker count or 'auto'")
-        p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M, help="resource cap on m")
+    def flags(p, compute=False, fmt=False, verify=False):
+        """Add the flags a subcommand reads; every subcommand takes --out."""
+        if compute:
+            p.add_argument("--field", default="q", help="q (exact rationals) or gf:<odd prime>")
+            p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M, help="resource cap on m")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument(
-            "--format", choices=["json", "csv", "table"], default="json", help="output format"
-        )
-        p.add_argument(
-            "--verify-exact",
-            action="store_true",
-            help="recompute final ranks over the rationals when using gf:<p>",
-        )
+        if fmt:
+            p.add_argument(
+                "--format", choices=["json", "csv", "table"], default="json", help="output format"
+            )
+        if verify:
+            p.add_argument(
+                "--verify-exact",
+                action="store_true",
+                help="recompute final ranks over the rationals when using gf:<p>",
+            )
 
     p_hh = sub.add_parser("hh", help="bigraded double cohomology ranks of a complex file")
     p_hh.add_argument("input")
-    common(p_hh)
+    flags(p_hh, compute=True, fmt=True, verify=True)
 
     p_h = sub.add_parser("h", help="bigraded ordinary cohomology ranks of a complex file")
     p_h.add_argument("input")
-    common(p_h)
+    flags(p_h, compute=True, fmt=True)
 
     p_con = sub.add_parser("construct", help="build complexes and write them as JSON")
     con_sub = p_con.add_subparsers(dest="kind", required=True)
     p_k2r = con_sub.add_parser("k2r", help="member of the even-rank family")
     p_k2r.add_argument("--r", type=int, required=True)
-    common(p_k2r)
+    flags(p_k2r)
     p_join = con_sub.add_parser("join", help="simplicial join of two complex files")
     p_join.add_argument("a")
     p_join.add_argument("b")
-    common(p_join)
+    flags(p_join)
     p_wedge = con_sub.add_parser("wedge", help="one-point union of two complex files")
     p_wedge.add_argument("a")
     p_wedge.add_argument("b")
     p_wedge.add_argument("--at-a", type=int, required=True, help="vertex of the first complex")
     p_wedge.add_argument("--at-b", type=int, required=True, help="vertex of the second complex")
-    common(p_wedge)
+    flags(p_wedge)
     p_glue = con_sub.add_parser("glue", help="add one simplex whose boundary is present")
     p_glue.add_argument("a")
     p_glue.add_argument("--face", required=True, help="comma-separated vertices")
-    common(p_glue)
+    flags(p_glue)
 
     p_chk = sub.add_parser("check-thm1", help="verify the simplex-gluing rank theorem")
     p_chk.add_argument("input")
     p_chk.add_argument("sigma", help="comma-separated vertices of the glued simplex")
-    common(p_chk)
+    flags(p_chk, compute=True)
 
     p_lad = sub.add_parser("ladder", help="even-rank family: computed vs expected totals")
     p_lad.add_argument("--r-max", type=int, required=True)
-    common(p_lad)
+    flags(p_lad, compute=True, fmt=True)
 
     p_orc = sub.add_parser("oracle", help=argparse.SUPPRESS)
     p_orc.add_argument("input")
-    common(p_orc)
+    flags(p_orc)
 
     return parser
 
 
 def _cmd_ranks(args, want_hh: bool) -> int:
-    cfg = _config(args)
+    field, max_m = _field_and_cap(args)
     K = load_complex(args.input)
-    if K.m > cfg.max_m:
-        raise ResourceLimit(f"m = {K.m} exceeds --max-m {cfg.max_m}")
-    h = h_ranks(K, cfg.field, cfg.threads, cfg.max_m)
-    hh = hh_ranks(K, cfg.field, cfg.threads, cfg.max_m) if want_hh else None
-    doc = result_document(K.m, cfg.field.name, h=h, hh=hh)
-    if want_hh and cfg.verify_exact and cfg.field is not RATIONALS:
-        exact = hh_ranks(K, RATIONALS, cfg.threads, cfg.max_m)
+    if K.m > max_m:
+        raise ResourceLimit(f"m = {K.m} exceeds --max-m {max_m}")
+    engine = CohomologyEngine(K, field)
+    h = h_ranks(K, max_m=max_m, engine=engine)
+    hh = hh_ranks(K, max_m=max_m, engine=engine) if want_hh else None
+    del engine  # free its subsets before --verify-exact builds a second engine
+    doc = result_document(K.m, field.name, h=h, hh=hh)
+    if want_hh and args.verify_exact and field is not RATIONALS:
+        exact = hh_ranks(K, RATIONALS, max_m)
         if exact.entries != hh.entries:
             sys.stderr.write("VerificationMismatch: gf ranks differ from exact rational ranks\n")
             return 5
         doc["verified_exact"] = True
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = render_json(doc)
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = render_table_csv(hh if want_hh else h)
     else:
         text = render_table_pretty(hh if want_hh else h, "hh" if want_hh else "h")
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_construct(args) -> int:
-    cfg = _config(args)
     meta = None
     if args.kind == "k2r":
         if args.r < 1:
@@ -221,15 +207,15 @@ def _cmd_construct(args) -> int:
     else:
         A = load_complex(args.a)
         K = glue_simplex(A, masks.mask_of(_parse_vertex_list(args.face), A.m))
-    _emit(render_json(complex_to_dict(K, meta)), cfg.out)
+    _emit(render_json(complex_to_dict(K, meta)), args.out)
     return 0
 
 
 def _cmd_check_thm1(args) -> int:
-    cfg = _config(args)
+    field, max_m = _field_and_cap(args)
     K = load_complex(args.input)
     sigma = masks.mask_of(_parse_vertex_list(args.sigma), K.m)
-    result = verify_theorem1(K, sigma, cfg.field, cfg.threads, cfg.max_m)
+    result = verify_theorem1(K, sigma, field, max_m)
     rep = result.report
     doc = {
         "sigma": list(masks.vertices(sigma)),
@@ -247,7 +233,7 @@ def _cmd_check_thm1(args) -> int:
         "rows_after": {str(p): r for p, r in result.rows_after.items()},
         "verdict": "pass" if result.verdict else "fail",
     }
-    _emit(render_json(doc), cfg.out)
+    _emit(render_json(doc), args.out)
     if not result.verdict:
         sys.stderr.write("VerdictMismatch: observed rank changes disagree with the theorem\n")
         return 5
@@ -255,7 +241,7 @@ def _cmd_check_thm1(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    cfg = _config(args)
+    field, max_m = _field_and_cap(args)
     if args.r_max < 1:
         raise ParseError("--r-max must be >= 1")
     rows = []
@@ -263,15 +249,15 @@ def _cmd_ladder(args) -> int:
     for r in range(1, args.r_max + 1):
         built = k2r_family(r)
         K = built.complex
-        if K.m > cfg.max_m:
-            raise ResourceLimit(f"family member r={r} needs m={K.m} > --max-m {cfg.max_m}")
-        rank = hh_ranks(K, cfg.field, cfg.threads, cfg.max_m).total()
+        if K.m > max_m:
+            raise ResourceLimit(f"family member r={r} needs m={K.m} > --max-m {max_m}")
+        rank = hh_ranks(K, field, max_m).total()
         ok = rank == 2 * r
         all_pass = all_pass and ok
         rows.append({"r": r, "m": K.m, "rank": rank, "expected": 2 * r, "pass": ok})
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = render_json({"rows": rows, "all_pass": all_pass})
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         lines = ["r,m,rank,expected,pass"]
         lines += [f"{x['r']},{x['m']},{x['rank']},{x['expected']},{str(x['pass']).lower()}" for x in rows]
         text = "\n".join(lines) + "\n"
@@ -279,12 +265,11 @@ def _cmd_ladder(args) -> int:
         lines = ["r  m  rank expected pass"]
         lines += [f"{x['r']:<2} {x['m']:<2} {x['rank']:<4} {x['expected']:<8} {x['pass']}" for x in rows]
         text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0 if all_pass else 5
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _config(args)
     K = load_complex(args.input)
     rows = oracle_hh_rows(K)
     doc = {
@@ -292,7 +277,7 @@ def _cmd_oracle(args) -> int:
         "hh_rows": {str(p): r for p, r in rows.items()},
         "hh_total": sum(rows.values()),
     }
-    _emit(render_json(doc), cfg.out)
+    _emit(render_json(doc), args.out)
     return 0
 
 

@@ -7,9 +7,6 @@ projection followed by reduction into the target basis.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
-
 from . import masks
 from .complexes import SimplicialComplex
 from .errors import InternalInconsistency
@@ -48,16 +45,6 @@ class CohomologyBasis:
         out = [self._field.zero] * self.rank
         for gen, c in coeffs.items():
             out[gen] = c
-        return out
-
-    def dense_representatives(self) -> list[list]:
-        index = {s: i for i, s in enumerate(self.simplices)}
-        out = []
-        for rep in self.representatives:
-            row = [self._field.zero] * len(self.simplices)
-            for s, c in rep.items():
-                row[index[s]] = c
-            out.append(row)
         return out
 
 
@@ -157,11 +144,10 @@ class SubsetCohomology:
 
 
 class CohomologyEngine:
-    """Per-subset cohomology cache for a fixed ambient complex K.
+    """Per-subset cohomology cache for a fixed ambient complex K and field.
 
-    Computations for distinct subsets are independent; ``precompute`` may fill
-    the cache from a thread pool. Results are value-identical regardless of
-    scheduling.
+    One engine serves every computation of a request on that (K, field) pair,
+    so each full subcomplex is grouped and eliminated at most once.
     """
 
     def __init__(self, K: SimplicialComplex, field: Field = RATIONALS):
@@ -192,89 +178,3 @@ class CohomologyEngine:
             restricted = {s: c for s, c in rep.items() if not s & ibit}
             cols.append(dst.express(restricted))
         return [[cols[c][r] for c in range(src.rank)] for r in range(dst.rank)]
-
-    def precompute(self, threads: int = 1) -> None:
-        """Compute Betti numbers of every full subcomplex, optionally in parallel."""
-        todo = [I for I in range(1 << self.K.m) if I not in self._cache]
-
-        def compute(I: int) -> tuple[int, SubsetCohomology]:
-            sc = SubsetCohomology(self.K, I, self.field)
-            for p in range(-1, sc.max_p + 1):
-                sc.betti(p)
-            return I, sc
-
-        if threads <= 1:
-            for I in todo:
-                self._cache[I] = compute(I)[1]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for I, sc in pool.map(compute, todo):
-                    self._cache[I] = sc
-
-
-@dataclass(frozen=True)
-class AugmentedCochainComplex:
-    """Ordered simplex bases and coboundary rows of one complex.
-
-    ``coboundaries[p]`` lists, per (p+1)-simplex t, the sparse row
-    {s: ±1 for the p-faces s of t}; the augmentation places the empty simplex
-    in degree -1.
-    """
-
-    m: int
-    bases: dict
-    coboundaries: dict
-
-
-def build_cochain_complex(L: SimplicialComplex) -> AugmentedCochainComplex:
-    """Augmented cochain complex of L; asserts delta∘delta = 0."""
-    groups: dict[int, list[int]] = {}
-    for f in L.faces:
-        groups.setdefault(masks.card(f) - 1, []).append(f)
-    bases = {p: tuple(masks.lex_sorted(g)) for p, g in sorted(groups.items())}
-    coboundaries = {}
-    for p in bases:
-        rows = []
-        for t in bases.get(p + 1, ()):
-            rows.append(
-                (t, {t & ~masks.bit(j): insertion_sign(j, t) for j in masks.vertices(t)})
-            )
-        coboundaries[p] = rows
-    # delta_{p+1} ∘ delta_p = 0, checked symbolically over the integers
-    for p in sorted(bases):
-        first = dict(coboundaries.get(p, ()))
-        second = dict(coboundaries.get(p + 1, ()))
-        for s in bases[p]:
-            image = {t: row[s] for t, row in first.items() if s in row}
-            acc: dict[int, int] = {}
-            for t, c in image.items():
-                for u, row in second.items():
-                    if t in row:
-                        acc[u] = acc.get(u, 0) + c * row[t]
-            if any(acc.values()):
-                raise InternalInconsistency("delta∘delta != 0")
-    return AugmentedCochainComplex(L.m, bases, coboundaries)
-
-
-def reduced_cohomology(
-    L: SimplicialComplex, p: int, field: Field = RATIONALS
-) -> CohomologyBasis:
-    """Reduced cohomology H̃^p(L) with deterministic representatives."""
-    sc = SubsetCohomology(L, masks.full_mask(L.m), field)
-    if p < -1 or p not in sc.simplices:
-        return CohomologyBasis(p, (), [], SparseReducer({}, field, track=True), field)
-    return sc.basis(p)
-
-
-def induced_map_psi(
-    K: SimplicialComplex,
-    I: int,
-    i: int,
-    p: int,
-    engine: CohomologyEngine | None = None,
-    field: Field = RATIONALS,
-) -> list[list]:
-    """Matrix of psi_{p;i,I}: H̃^p(K_I) -> H̃^p(K_{I\\{i}})."""
-    if engine is None:
-        engine = CohomologyEngine(K, field)
-    return engine.psi(I, i, p)

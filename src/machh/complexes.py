@@ -23,13 +23,12 @@ class SimplicialComplex:
     empty complex ``{∅}`` arising from restriction to the empty subset.
     """
 
-    __slots__ = ("m", "faces", "_facets", "_faces_by_card")
+    __slots__ = ("m", "faces", "_facets")
 
     def __init__(self, m: int, faces: frozenset[int]):
         self.m = m
         self.faces = faces
         self._facets: tuple[int, ...] | None = None
-        self._faces_by_card: dict[int, list[int]] | None = None
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -62,20 +61,8 @@ class SimplicialComplex:
             self._facets = tuple(masks.lex_sorted(out))
         return self._facets
 
-    def faces_by_card(self) -> dict[int, list[int]]:
-        """Faces grouped by cardinality, each group lexicographically sorted."""
-        if self._faces_by_card is None:
-            groups: dict[int, list[int]] = {}
-            for f in self.faces:
-                groups.setdefault(masks.card(f), []).append(f)
-            self._faces_by_card = {c: masks.lex_sorted(g) for c, g in sorted(groups.items())}
-        return self._faces_by_card
-
     def dim(self) -> int:
         return max(masks.card(f) for f in self.faces) - 1
-
-    def has_face(self, mask: int) -> bool:
-        return mask in self.faces
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,7 +7,7 @@ all subsets graded by cardinality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import masks
 from .cohomology import CohomologyEngine
@@ -15,19 +15,16 @@ from .complexes import SimplicialComplex
 from .errors import ResourceLimit
 from .fields import RATIONALS, Field
 from .linalg import dense_rank
-from .masks import sign_epsilon  # re-exported operation
 
 DEFAULT_MAX_M = 22
 
 __all__ = [
+    "DEFAULT_MAX_M",
     "BigradedRankTable",
     "RowComplex",
-    "sign_epsilon",
     "h_ranks",
     "assemble_row",
     "hh_ranks",
-    "euler_characteristic_hh",
-    "row_rank_profile",
 ]
 
 
@@ -52,13 +49,6 @@ class BigradedRankTable:
         for (neg_k, two_l), r in self.entries.items():
             p = two_l // 2 + neg_k - 1
             out[p] = out.get(p, 0) + r
-        return dict(sorted(out.items()))
-
-    def by_total_degree(self) -> dict:
-        """Totals per cohomological degree -k + 2l."""
-        out: dict[int, int] = {}
-        for (neg_k, two_l), r in self.entries.items():
-            out[neg_k + two_l] = out.get(neg_k + two_l, 0) + r
         return dict(sorted(out.items()))
 
     def convolve(self, other: "BigradedRankTable") -> "BigradedRankTable":
@@ -105,15 +95,17 @@ def _check_cap(K: SimplicialComplex, max_m: int) -> None:
 def h_ranks(
     K: SimplicialComplex,
     field: Field = RATIONALS,
-    threads: int = 1,
     max_m: int = DEFAULT_MAX_M,
     engine: CohomologyEngine | None = None,
 ) -> BigradedRankTable:
-    """Bigraded ranks of H*(Z_K) by summing H̃^{l-k-1}(K_I) over |I| = l."""
+    """Bigraded ranks of H*(Z_K) by summing H̃^{l-k-1}(K_I) over |I| = l.
+
+    A passed ``engine`` (built on K) supplies the field and keeps its subsets
+    for later calls, such as ``hh_ranks`` on the same complex.
+    """
     _check_cap(K, max_m)
     if engine is None:
         engine = CohomologyEngine(K, field)
-    engine.precompute(threads)
     entries: dict = {}
     for I in range(1 << K.m):
         sc = engine.subset(I)
@@ -163,7 +155,7 @@ def assemble_row(
                 J = I & ~masks.bit(i)
                 if J not in row_offset:
                     continue
-                sgn = sign_epsilon(i, I) * (-1) ** (p + 1)
+                sgn = masks.sign_epsilon(i, I) * (-1) ** (p + 1)
                 coef = one if sgn == 1 else -one
                 block = engine.psi(I, i, p)
                 r0 = row_offset[J]
@@ -179,33 +171,19 @@ def assemble_row(
 def hh_ranks(
     K: SimplicialComplex,
     field: Field = RATIONALS,
-    threads: int = 1,
     max_m: int = DEFAULT_MAX_M,
     engine: CohomologyEngine | None = None,
 ) -> BigradedRankTable:
-    """Bigraded double cohomology ranks: cohomology of every row of (H*(Z_K), d')."""
+    """Bigraded double cohomology ranks: cohomology of every row of (H*(Z_K), d').
+
+    ``engine`` is as in ``h_ranks``.
+    """
     _check_cap(K, max_m)
     if engine is None:
         engine = CohomologyEngine(K, field)
-    engine.precompute(threads)
     entries: dict = {}
     for p in range(-1, K.dim() + 1):
         row = assemble_row(K, p, engine)
         for l, r in row.cohomology_ranks().items():
             entries[(-(l - p - 1), 2 * l)] = r
     return BigradedRankTable(entries)
-
-
-def euler_characteristic_hh(table: BigradedRankTable) -> int:
-    """Sum of (-1)**k * rank over the table; zero whenever K is not a simplex."""
-    return table.euler_characteristic()
-
-
-def row_rank_profile(
-    K: SimplicialComplex,
-    field: Field = RATIONALS,
-    threads: int = 1,
-    max_m: int = DEFAULT_MAX_M,
-) -> dict:
-    """Per-row double cohomology totals, keyed by the row degree p."""
-    return hh_ranks(K, field, threads, max_m).rows()

@@ -59,6 +59,7 @@ class Field:
 RATIONALS = Field("Q", Fraction(0), Fraction(1), Fraction)
 
 DEFAULT_PRIME = 32003
+PRIME_LIMIT = 1 << 31  # keeps the trial-division primality test instant
 
 
 def _is_prime(n: int) -> bool:
@@ -73,6 +74,8 @@ def _is_prime(n: int) -> bool:
 
 
 def prime_field(p: int = DEFAULT_PRIME) -> Field:
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"GF(p) requires p < 2**31, got {p}")
     if p == 2 or not _is_prime(p):
         raise ValueError(f"GF(p) requires an odd prime, got {p}")
     return Field(f"GF({p})", GFElement(0, p), GFElement(1, p), lambda n: GFElement(n, p))

@@ -140,36 +140,15 @@ def dense_rank(mat: Iterable[Sequence]) -> int:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
         inv = prow[col]
+        # the row matrices are mostly zero: update only where the pivot row is not
+        support = [j for j in range(col, ncols) if prow[j]]
         for r in range(rank + 1, len(rows)):
             c = rows[r][col]
             if c:
                 factor = c / inv
                 row = rows[r]
-                for j in range(col, ncols):
+                for j in support:
                     row[j] = row[j] - factor * prow[j]
         rank += 1
         col += 1
     return rank
-
-
-def dense_mul(A: Sequence[Sequence], B: Sequence[Sequence], zero) -> list[list]:
-    """A @ B for dense lists-of-lists."""
-    if not A or not B:
-        return []
-    n, k, p = len(A), len(B), len(B[0])
-    out = [[zero] * p for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(p):
-                    if Bt[j]:
-                        Oi[j] = Oi[j] + a * Bt[j]
-    return out
-
-
-def dense_is_zero(A: Iterable[Sequence]) -> bool:
-    return all(not x for row in A for x in row)

@@ -17,7 +17,7 @@ def mask_of(verts: Iterable[int], m: int) -> int:
     """Build a mask from 1-based vertex labels, validating the range."""
     mask = 0
     for v in verts:
-        if not isinstance(v, int) or v < 1 or v > m:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1 or v > m:
             raise VertexOutOfRange(f"vertex {v!r} not in 1..{m}")
         mask |= bit(v)
     return mask

@@ -15,15 +15,21 @@ class ParseError(MachhError):
     """Malformed input document."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def complex_from_dict(doc: dict) -> SimplicialComplex:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     m = doc.get("m")
     facets = doc.get("facets")
-    if not isinstance(m, int):
-        raise ParseError('"m" must be an integer')
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise ParseError('"facets" must be a list of vertex lists')
+    if not _is_int(m) or m < 1:
+        raise ParseError('"m" must be a positive integer')
+    if not isinstance(facets, list) or not all(
+        isinstance(f, list) and all(_is_int(v) for v in f) for f in facets
+    ):
+        raise ParseError('"facets" must be a list of integer vertex lists')
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list)

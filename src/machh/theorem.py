@@ -8,7 +8,7 @@ from itertools import combinations
 from . import masks
 from .cohomology import CohomologyEngine
 from .complexes import SimplicialComplex, glue_simplex
-from .double import hh_ranks
+from .double import DEFAULT_MAX_M, hh_ranks
 from .errors import BadSigma, NotApplicable
 from .fields import RATIONALS, Field
 
@@ -109,23 +109,25 @@ def verify_theorem1(
     K: SimplicialComplex,
     sigma: int,
     field: Field = RATIONALS,
-    threads: int = 1,
-    max_m: int = 22,
+    max_m: int = DEFAULT_MAX_M,
 ) -> Thm1Verification:
     """Compare double cohomology before and after gluing sigma.
 
     The verdict also checks the per-row behavior: row n-1 drops by one, row n
     drops by one (witness present) or gains one (no witness), all other rows
-    are unchanged.
+    are unchanged. The hypothesis check and the "before" ranks share one
+    engine on K; the glued complex gets its own.
     """
-    report = check_theorem1(K, sigma, field=field)
+    engine = CohomologyEngine(K, field)
+    report = check_theorem1(K, sigma, engine)
     if not report.applicable:
         raise NotApplicable(
             f"hypotheses {report.failed_conditions() or ['m >= n+2']} fail for sigma {masks.mask_str(sigma)}"
         )
     n = report.n
-    before = hh_ranks(K, field, threads, max_m)
-    after = hh_ranks(glue_simplex(K, sigma), field, threads, max_m)
+    before = hh_ranks(K, max_m=max_m, engine=engine)
+    del engine  # free K's subsets before the glued complex builds its own
+    after = hh_ranks(glue_simplex(K, sigma), field, max_m)
     rows_before = before.rows()
     rows_after = after.rows()
     ok = after.total() - before.total() == report.predicted_delta

@@ -1,9 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 import machh as M
+
+
+def subprocess_env(**extra) -> dict:
+    """Environment in which ``python -m machh.cli`` imports this checkout's machh."""
+    env = dict(os.environ, **extra)
+    src = str(Path(M.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_complex(rng: random.Random, m: int, max_facet: int = 4) -> M.SimplicialComplex:
@@ -73,3 +83,26 @@ def case2_complex() -> M.SimplicialComplex:
 
 def simplex(n: int) -> M.SimplicialComplex:
     return M.SimplicialComplex.from_facets(n + 1, [list(range(1, n + 2))])
+
+
+def dense_mul(A, B, zero) -> list[list]:
+    """A @ B for dense lists-of-lists."""
+    if not A or not B:
+        return []
+    n, k, p = len(A), len(B), len(B[0])
+    out = [[zero] * p for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        Oi = out[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(p):
+                    if Bt[j]:
+                        Oi[j] = Oi[j] + a * Bt[j]
+    return out
+
+
+def dense_is_zero(A) -> bool:
+    return all(not x for row in A for x in row)

@@ -5,7 +5,10 @@ approximate. Random inputs are seeded, so the gate is reproducible.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import machh as M
@@ -14,12 +17,19 @@ from machh.cli import main as cli_main
 from machh.cohomology import CohomologyEngine
 from machh.double import BigradedRankTable, assemble_row, hh_ranks
 from machh.fields import RATIONALS
-from machh.linalg import dense_is_zero, dense_mul
 from machh.oracle import oracle_hh_rows, oracle_reduced_betti
 from machh.serialization import complex_to_dict
 from machh.theorem import check_theorem1, verify_theorem1
 
-from conftest import permute_complex, random_complex, random_permutation, simplex
+from conftest import (
+    dense_is_zero,
+    dense_mul,
+    permute_complex,
+    random_complex,
+    random_permutation,
+    simplex,
+    subprocess_env,
+)
 
 CORPUS_SEED = 2026
 CORPUS_SIZE = 200
@@ -229,21 +239,32 @@ def test_criterion_5_oracle_equivalence(capsys):
     report(capsys, "5 engine = oracle on 200 complexes", ok, time.perf_counter() - start)
 
 
-def test_criterion_6_thread_determinism(capsys, tmp_path):
+def test_criterion_6_determinism(capsys, tmp_path):
     start = time.perf_counter()
     rng = random.Random(CORPUS_SEED + 6)
     sample = [M.square(), M.k2r_family(4).complex] + rng.sample(corpus(), 10)
+    # the subprocess hashes strings under a seed other than this process's
+    env = subprocess_env(PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
     ok = True
     for idx, K in enumerate(sample):
         src = tmp_path / f"in{idx}.json"
         src.write_text(json.dumps(complex_to_dict(K)))
         outputs = set()
-        for threads in ("1", "4", "8"):
-            dst = tmp_path / f"out{idx}_{threads}.json"
-            code = cli_main(
-                ["hh", str(src), "--threads", threads, "--out", str(dst)]
-            )
-            ok = ok and code == 0
+        for run in ("a", "b"):
+            dst = tmp_path / f"out{idx}_{run}.json"
+            ok = ok and cli_main(["hh", str(src), "--out", str(dst)]) == 0
             outputs.add(dst.read_bytes())
+        dst = tmp_path / f"out{idx}_sub.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "machh.cli", "hh", str(src), "--out", str(dst)],
+            env=env,
+        )
+        ok = ok and proc.returncode == 0
+        outputs.add(dst.read_bytes())
         ok = ok and len(outputs) == 1
-    report(capsys, "6 byte-identical output across thread counts", ok, time.perf_counter() - start)
+    report(
+        capsys,
+        "6 byte-identical output across runs and hash seeds",
+        ok,
+        time.perf_counter() - start,
+    )

@@ -1,12 +1,16 @@
 import json
-import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import machh as M
 from machh.cli import main
+from machh.cohomology import CohomologyEngine
+from machh.errors import MachhError
 from machh.serialization import (
     ParseError,
     complex_from_dict,
@@ -15,6 +19,8 @@ from machh.serialization import (
     render_table_csv,
 )
 from machh.double import hh_ranks
+
+from conftest import subprocess_env
 
 
 def write_complex(path, K, meta=None):
@@ -33,6 +39,15 @@ def run_main(capsys, *argv):
     return code, captured.out, captured.err
 
 
+small_ints = st.integers(-8, 8)
+json_values = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats(-8, 8) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["m", "facets", "labels", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestSerialization:
     def test_roundtrip(self, square):
         assert complex_from_dict(complex_to_dict(square)) == square
@@ -46,6 +61,29 @@ class TestSerialization:
             complex_from_dict({"m": 2, "facets": "nope"})
         with pytest.raises(ParseError):
             complex_from_dict({"m": 2, "facets": [[1, 2]], "labels": ["a"]})
+        with pytest.raises(ParseError):
+            complex_from_dict({"m": 2, "facets": [[True, 2]]})
+        with pytest.raises(ParseError):
+            complex_from_dict({"m": True, "facets": [[1]]})
+        with pytest.raises(ParseError):
+            complex_from_dict({"m": 2, "facets": [[1, 2.0]]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            json_values,
+            st.fixed_dictionaries({"m": json_values, "facets": json_values}),
+            st.fixed_dictionaries(
+                {"m": small_ints, "facets": st.lists(st.lists(json_values, max_size=4), max_size=4)}
+            ),
+        )
+    )
+    def test_arbitrary_json_raises_only_machh_errors(self, doc):
+        try:
+            K = complex_from_dict(doc)
+        except MachhError:
+            return
+        assert complex_from_dict(complex_to_dict(K)) == K
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -90,21 +128,23 @@ class TestRankCommands:
         code, out, _ = run_main(capsys, "hh", square_file, "--format", "table")
         assert code == 0 and out.startswith("hh\n") and "total      4" in out
 
-    def test_deterministic_across_threads(self, capsys, square_file):
+    def test_deterministic_across_runs(self, capsys, square_file):
         outputs = set()
-        for threads in ("1", "4", "8"):
-            code, out, _ = run_main(capsys, "hh", square_file, "--threads", threads)
+        for _ in range(3):
+            code, out, _ = run_main(capsys, "hh", square_file)
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
 
     def test_threads_env_default(self, capsys, square_file, monkeypatch):
-        monkeypatch.setenv("MACHH_THREADS", "4")
-        code, out, _ = run_main(capsys, "hh", square_file)
-        assert code == 0
+        # there is no thread pool: the flag is unknown and the variable is ignored
+        code, _, err = run_main(capsys, "hh", square_file, "--threads", "4")
+        assert code == 2 and "--threads" in err
+        monkeypatch.delenv("MACHH_THREADS", raising=False)
+        _, plain, _ = run_main(capsys, "hh", square_file)
         monkeypatch.setenv("MACHH_THREADS", "banana")
-        code, _, err = run_main(capsys, "hh", square_file)
-        assert code == 2 and "bad thread count" in err
+        code, out, _ = run_main(capsys, "hh", square_file)
+        assert code == 0 and out == plain
 
     def test_out_file(self, capsys, square_file, tmp_path):
         target = tmp_path / "result.json"
@@ -112,6 +152,41 @@ class TestRankCommands:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["hh_total"] == 4
         assert not (tmp_path / "result.json.tmp").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json", "square.json"]
+
+    def test_out_file_with_tmp_name_taken(self, capsys, square_file, tmp_path):
+        (tmp_path / "result.json.tmp").mkdir()
+        target = tmp_path / "result.json"
+        code, _, _ = run_main(capsys, "hh", square_file, "--out", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())["hh_total"] == 4
+        assert (tmp_path / "result.json.tmp").is_dir()
+
+    def test_unwritable_out(self, capsys, square_file, tmp_path):
+        for target in (tmp_path / "absent" / "result.json", tmp_path):
+            code, out, err = run_main(capsys, "hh", square_file, "--out", str(target))
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith("ParseError: cannot write")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["square.json"]
+
+    def test_one_engine_per_complex_and_field(self, capsys, square_file, monkeypatch):
+        built = []
+        init = CohomologyEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CohomologyEngine, "__init__", counting_init)
+        for argv, engines in [
+            (["hh", square_file], 1),
+            (["h", square_file], 1),
+            (["hh", square_file, "--field", "gf:32003", "--verify-exact"], 2),
+            (["check-thm1", square_file, "1,3"], 2),
+        ]:
+            built.clear()
+            assert run_main(capsys, *argv)[0] == 0
+            assert len(built) == engines, argv
 
 
 class TestExitCodes:
@@ -131,8 +206,26 @@ class TestExitCodes:
         assert run_main(capsys, "hh", str(bad))[0] == 2
         assert run_main(capsys, "hh", str(tmp_path / "absent.json"))[0] == 2
         assert run_main(capsys, "hh", square_file, "--field", "gf:15")[0] == 2
-        assert run_main(capsys, "hh", square_file, "--threads", "0")[0] == 2
+        assert run_main(capsys, "hh", square_file, "--max-m", "0")[0] == 2
         assert run_main(capsys, "ladder", "--r-max", "0")[0] == 2
+
+    def test_huge_prime_refused_at_once(self, capsys, square_file):
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, "hh", square_file, "--field", "gf:2305843009213693951")
+        assert code == 2 and "2**31" in err
+        assert time.perf_counter() - start < 5.0
+
+    def test_flags_only_where_read(self, capsys, square_file):
+        for argv in [
+            ["check-thm1", square_file, "1,3", "--verify-exact"],
+            ["check-thm1", square_file, "1,3", "--format", "csv"],
+            ["h", square_file, "--verify-exact"],
+            ["ladder", "--r-max", "2", "--verify-exact"],
+            ["oracle", square_file, "--field", "gf:3"],
+            ["construct", "k2r", "--r", "3", "--max-m", "1"],
+            ["construct", "glue", square_file, "--face", "1,3", "--format", "csv"],
+        ]:
+            assert run_main(capsys, *argv)[0] == 2, argv
 
     def test_not_applicable(self, capsys, square_file):
         code, _, err = run_main(capsys, "check-thm1", square_file, "1,2")
@@ -226,14 +319,13 @@ class TestOracleCommand:
 
 
 class TestInstalledEntryPoint:
-    def test_subprocess_byte_identical(self, square_file):
-        outs = set()
-        for threads in ("1", "4"):
-            env = dict(os.environ, MACHH_THREADS=threads)
+    def test_subprocess_byte_identical(self, capsys, square_file):
+        outs = {run_main(capsys, "hh", square_file)[1].encode()}
+        for seed in ("1", "2"):
             proc = subprocess.run(
                 [sys.executable, "-m", "machh.cli", "hh", square_file],
                 capture_output=True,
-                env=env,
+                env=subprocess_env(PYTHONHASHSEED=seed),
             )
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)

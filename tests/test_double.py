@@ -5,12 +5,18 @@ import pytest
 import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine
-from machh.double import assemble_row, euler_characteristic_hh, h_ranks, hh_ranks
+from machh.double import assemble_row, h_ranks, hh_ranks
 from machh.errors import NotInSubset, ResourceLimit
-from machh.linalg import dense_is_zero, dense_mul
 from machh.fields import RATIONALS
 
-from conftest import permute_complex, random_complex, random_permutation, simplex
+from conftest import (
+    dense_is_zero,
+    dense_mul,
+    permute_complex,
+    random_complex,
+    random_permutation,
+    simplex,
+)
 
 
 class TestSignEpsilon:
@@ -93,12 +99,12 @@ class TestHHRanks:
         assert hh_ranks(square).rows() == {-1: 1, 0: 2, 1: 1}
         assert hh_ranks(simplex(3)).rows() == {-1: 1}
         assert hh_ranks(square_diag).rows() == {-1: 1, 0: 1}
-        assert M.row_rank_profile(square) == {-1: 1, 0: 2, 1: 1}
+        assert M.hh_ranks(square).rows() == {-1: 1, 0: 2, 1: 1}
 
     def test_euler_examples(self, square):
-        assert euler_characteristic_hh(hh_ranks(square)) == 0
-        assert euler_characteristic_hh(hh_ranks(simplex(2))) == 1
-        assert euler_characteristic_hh(hh_ranks(M.two_points())) == 0
+        assert hh_ranks(square).euler_characteristic() == 0
+        assert hh_ranks(simplex(2)).euler_characteristic() == 1
+        assert hh_ranks(M.two_points()).euler_characteristic() == 0
 
     def test_zero_zero_entry_always_present(self):
         rng = random.Random(17)

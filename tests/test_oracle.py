@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import machh as M
 from machh.cohomology import CohomologyEngine
 from machh.double import hh_ranks
 from machh.errors import ResourceLimit
-from machh.oracle import oracle_hh_rows, oracle_hh_total, oracle_reduced_betti
+from machh.linalg import dense_rank
+from machh.oracle import _matrix_rank, oracle_hh_rows, oracle_hh_total, oracle_reduced_betti
 
 from conftest import random_complex, simplex
 
@@ -71,3 +75,19 @@ class TestEngineOracleEquivalence:
         for _ in range(20):
             K = random_complex(rng, rng.randint(3, 7))
             assert hh_ranks(K).rows() == oracle_hh_rows(K), K
+
+
+sparse_matrices = st.integers(1, 9).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=ncols, max_size=ncols),
+        max_size=9,
+    )
+)
+
+
+class TestDenseRankOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices)
+    def test_rank_agreement(self, rows):
+        mat = [[Fraction(x) for x in row] for row in rows]
+        assert dense_rank(mat) == _matrix_rank(mat)
