@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import masks
 from .cohomology import CohomologyEngine
-from .complexes import glue_simplex, join, k2r_family, wedge
+from .complexes import SimplicialComplex, glue_simplex, join, k2r_family, k2r_vertex_count, wedge
 from .double import DEFAULT_MAX_M, h_ranks, hh_ranks
 from .errors import (
     BadSigma,
@@ -70,6 +70,14 @@ def _field_and_cap(args) -> tuple[Field, int]:
     if args.max_m < 1 or args.max_m > masks.MAX_GROUND_SET:
         raise ParseError(f"--max-m must be in 1..{masks.MAX_GROUND_SET}")
     return _parse_field(args.field), args.max_m
+
+
+def _load_capped(path: str, max_m: int) -> SimplicialComplex:
+    """The complex in ``path``, refused before any rank work if m exceeds --max-m."""
+    K = load_complex(path)
+    if K.m > max_m:
+        raise ResourceLimit(f"m = {K.m} exceeds --max-m {max_m}")
+    return K
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -168,9 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ranks(args, want_hh: bool) -> int:
     field, max_m = _field_and_cap(args)
-    K = load_complex(args.input)
-    if K.m > max_m:
-        raise ResourceLimit(f"m = {K.m} exceeds --max-m {max_m}")
+    K = _load_capped(args.input, max_m)
     engine = CohomologyEngine(K, field)
     h = h_ranks(K, max_m=max_m, engine=engine)
     hh = hh_ranks(K, max_m=max_m, engine=engine) if want_hh else None
@@ -213,7 +219,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check_thm1(args) -> int:
     field, max_m = _field_and_cap(args)
-    K = load_complex(args.input)
+    K = _load_capped(args.input, max_m)
     sigma = masks.mask_of(_parse_vertex_list(args.sigma), K.m)
     result = verify_theorem1(K, sigma, field, max_m)
     rep = result.report
@@ -247,10 +253,10 @@ def _cmd_ladder(args) -> int:
     rows = []
     all_pass = True
     for r in range(1, args.r_max + 1):
-        built = k2r_family(r)
-        K = built.complex
-        if K.m > max_m:
-            raise ResourceLimit(f"family member r={r} needs m={K.m} > --max-m {max_m}")
+        m = k2r_vertex_count(r)
+        if m > max_m:
+            raise ResourceLimit(f"family member r={r} needs m={m} > --max-m {max_m}")
+        K = k2r_family(r).complex
         rank = hh_ranks(K, field, max_m).total()
         ok = rank == 2 * r
         all_pass = all_pass and ok

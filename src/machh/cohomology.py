@@ -14,11 +14,6 @@ from .fields import RATIONALS, Field
 from .linalg import SparseReducer, kernel_basis
 
 
-def insertion_sign(j: int, t: int) -> int:
-    """Sign of inserting vertex j into t \\ {j}: (-1)**(# elements of t below j)."""
-    return -1 if masks.below_count(t, j) & 1 else 1
-
-
 class CohomologyBasis:
     """Basis data for one reduced cohomology group H̃^p.
 
@@ -27,22 +22,21 @@ class CohomologyBasis:
     these coordinates using the stored elimination.
     """
 
-    __slots__ = ("p", "simplices", "rank", "representatives", "_reducer", "_field")
+    __slots__ = ("p", "simplices", "rank", "representatives", "_reducer")
 
-    def __init__(self, p, simplices, representatives, reducer, field):
+    def __init__(self, p, simplices, representatives, reducer):
         self.p = p
         self.simplices = simplices
         self.rank = len(representatives)
         self.representatives = representatives
         self._reducer = reducer
-        self._field = field
 
     def express(self, vec: dict) -> list:
         """Coordinates of a cocycle modulo coboundaries, dense over representatives."""
         coeffs = self._reducer.express(vec)
         if coeffs is None:
             raise InternalInconsistency("vector is not a cocycle of this group")
-        out = [self._field.zero] * self.rank
+        out = [0] * self.rank
         for gen, c in coeffs.items():
             out[gen] = c
         return out
@@ -81,27 +75,41 @@ class SubsetCohomology:
         self._betti: dict[int, int] = {}
 
     def coboundary_vector(self, p: int, s: int) -> dict:
-        """delta(s*) as a sparse vector over the p-simplices, s of degree p-1."""
+        """delta(s*) as a sparse vector over the p-simplices, s of degree p-1.
+
+        The entry at s ∪ {j} is (-1)**(# elements of s below j).
+        """
         targets = self.simplex_sets.get(p, frozenset())
+        sign, other = 1, self.field.p - 1
         vec = {}
-        for j in masks.vertices(self.I & ~s):
-            t = s | masks.bit(j)
-            if t in targets:
-                vec[t] = self.field.from_int(insertion_sign(j, t))
+        rest = self.I
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if low & s:
+                sign, other = other, sign
+            elif s | low in targets:
+                vec[s | low] = sign
         return vec
 
     def delta_reducer(self, p: int) -> SparseReducer:
-        """Echelon form of delta_p, rows indexed by the (p+1)-simplices."""
+        """Echelon form of delta_p, rows indexed by the (p+1)-simplices.
+
+        The row of t has (-1)**i at t minus its i-th smallest vertex.
+        """
         red = self._delta.get(p)
         if red is None:
-            red = SparseReducer(self.orders.get(p, {}), self.field)
-            one = self.field.one
+            red = SparseReducer(self.orders.get(p, {}), self.field.p)
+            minus_one = self.field.p - 1
             for t in self.simplices.get(p + 1, ()):
                 row = {}
-                for j in masks.vertices(t):
-                    row[t & ~masks.bit(j)] = (
-                        one if insertion_sign(j, t) == 1 else -one
-                    )
+                sign, other = 1, minus_one
+                rest = t
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row[t ^ low] = sign
+                    sign, other = other, sign
                 red.add(row)
             self._delta[p] = red
         return red
@@ -124,7 +132,7 @@ class SubsetCohomology:
         if cached is not None:
             return cached
         order = self.orders.get(p, {})
-        combined = SparseReducer(order, self.field, track=True)
+        combined = SparseReducer(order, self.field.p, track=True)
         reps: list[dict] = []
         if p in self.simplices:
             for s in self.simplices.get(p - 1, ()):
@@ -138,7 +146,7 @@ class SubsetCohomology:
                 raise InternalInconsistency(
                     f"representative count {len(reps)} != betti {self.betti(p)}"
                 )
-        basis = CohomologyBasis(p, tuple(self.simplices.get(p, ())), reps, combined, self.field)
+        basis = CohomologyBasis(p, tuple(self.simplices.get(p, ())), reps, combined)
         self._basis[p] = basis
         return basis
 

@@ -15,6 +15,12 @@ from .errors import (
 )
 
 
+def _check_ground_set(m: int) -> None:
+    """Refuse a complex on more vertices than a mask may hold, before building it."""
+    if m > masks.MAX_GROUND_SET:
+        raise ResourceLimit(f"m = {m} exceeds the {masks.MAX_GROUND_SET}-vertex cap")
+
+
 class SimplicialComplex:
     """Downward-closed face family on [m] containing the empty face.
 
@@ -35,8 +41,7 @@ class SimplicialComplex:
         """Downward closure of the listed facets; rejects ghost vertices."""
         if m < 1:
             raise ValueError(f"ground set size must be >= 1, got {m}")
-        if m > masks.MAX_GROUND_SET:
-            raise ResourceLimit(f"m = {m} exceeds the {masks.MAX_GROUND_SET}-vertex cap")
+        _check_ground_set(m)
         faces: set[int] = {0}
         for facet in facets:
             top = masks.mask_of(facet, m)
@@ -91,6 +96,7 @@ def full_subcomplex(K: SimplicialComplex, I: int) -> SimplicialComplex:
 
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join: L's vertices are shifted past K's ground set."""
+    _check_ground_set(K.m + L.m)
     shift = K.m
     faces = frozenset(s | (t << shift) for s in K.faces for t in L.faces)
     return SimplicialComplex(K.m + L.m, faces)
@@ -102,6 +108,7 @@ def wedge(K: SimplicialComplex, vK: int, L: SimplicialComplex, vL: int) -> Simpl
         raise NotAVertex(f"{vK} is not a vertex of the first complex")
     if not (1 <= vL <= L.m):
         raise NotAVertex(f"{vL} is not a vertex of the second complex")
+    _check_ground_set(K.m + L.m - 1)
     relabel = {vL: vK}
     nxt = K.m + 1
     for v in range(1, L.m + 1):
@@ -144,6 +151,15 @@ def two_points() -> SimplicialComplex:
     return SimplicialComplex.from_facets(2, [[1], [2]])
 
 
+def k2r_vertex_count(r: int) -> int:
+    """Ground-set size m of ``k2r_family(r)``, by its recursion, building nothing."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if r <= 2:
+        return 4
+    return k2r_vertex_count((r + 1) // 2) + 2  # (r + 1) // 2 == r // 2 for even r
+
+
 def k2r_family(r: int) -> K2rComplex:
     """Recursive family whose member of index r has total double-cohomology rank 2r.
 
@@ -152,8 +168,7 @@ def k2r_family(r: int) -> K2rComplex:
     joining with two points; odd index glues the two-point join of the next
     smaller even member along its new non-edge.
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_ground_set(k2r_vertex_count(r))
     if r == 1:
         return K2rComplex(glue_simplex(square(), masks.mask_of([1, 3], 4)), (2, 4))
     if r == 2:

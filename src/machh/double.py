@@ -66,17 +66,19 @@ class RowComplex:
     """One row (fixed degree p) of the cochain complex on H*(Z_K).
 
     ``groups[l]`` lists (subset mask, rank) with |I| = l and positive rank;
-    ``matrices[l]`` is the block differential from cardinality l to l - 1.
+    ``matrices[l]`` is the block differential from cardinality l to l - 1,
+    with entries in ``field``.
     """
 
     p: int
     groups: dict
     dims: dict
     matrices: dict
+    field: Field
 
     def differential_rank(self, l: int) -> int:
         mat = self.matrices.get(l)
-        return dense_rank(mat) if mat else 0
+        return dense_rank(mat, self.field.p) if mat else 0
 
     def cohomology_ranks(self) -> dict:
         out = {}
@@ -136,7 +138,7 @@ def assemble_row(
     for l in groups:
         groups[l].sort(key=lambda ib: masks.sort_key(ib[0]))
     dims = {l: sum(b for _, b in g) for l, g in groups.items()}
-    zero, one = engine.field.zero, engine.field.one
+    char = engine.field.p
     matrices: dict[int, list] = {}
     for l, sources in groups.items():
         targets = groups.get(l - 1)
@@ -148,24 +150,24 @@ def assemble_row(
             row_offset[J] = pos
             pos += b
         nrows, ncols = pos, dims[l]
-        mat = [[zero] * ncols for _ in range(nrows)]
+        mat = [[0] * ncols for _ in range(nrows)]
         col = 0
         for I, b in sources:
             for i in masks.vertices(I):
                 J = I & ~masks.bit(i)
                 if J not in row_offset:
                     continue
-                sgn = masks.sign_epsilon(i, I) * (-1) ** (p + 1)
-                coef = one if sgn == 1 else -one
+                positive = masks.sign_epsilon(i, I) * (-1) ** (p + 1) == 1
                 block = engine.psi(I, i, p)
                 r0 = row_offset[J]
                 for r, row in enumerate(block):
                     for c, v in enumerate(row):
                         if v:
-                            mat[r0 + r][col + c] = coef * v
+                            # char - v is -v over Q (char 0) and over GF(char)
+                            mat[r0 + r][col + c] = v if positive else char - v
             col += b
         matrices[l] = mat
-    return RowComplex(p=p, groups=groups, dims=dims, matrices=matrices)
+    return RowComplex(p=p, groups=groups, dims=dims, matrices=matrices, field=engine.field)
 
 
 def hh_ranks(

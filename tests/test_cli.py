@@ -227,6 +227,29 @@ class TestExitCodes:
         ]:
             assert run_main(capsys, *argv)[0] == 2, argv
 
+    def test_check_thm1_cap_before_rank_work(self, capsys, square_file, monkeypatch):
+        built = []
+        monkeypatch.setattr(CohomologyEngine, "__init__", lambda self, *a, **k: built.append(self))
+        code, _, err = run_main(capsys, "check-thm1", square_file, "1,2", "--max-m", "3")
+        assert code == 3 and "ResourceLimit" in err
+        assert built == []
+
+    def test_construct_vertex_cap(self, capsys, tmp_path):
+        points = M.SimplicialComplex.from_facets(20, [[v] for v in range(1, 21)])
+        a = write_complex(tmp_path / "points.json", points)
+        target = tmp_path / "big.json"
+        for argv in [
+            ["join", a, a],
+            ["wedge", a, a, "--at-a", "1", "--at-b", "1"],
+        ]:
+            code, out, err = run_main(capsys, "construct", *argv, "--out", str(target))
+            assert code == 3 and "ResourceLimit" in err, argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["points.json"]
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, "construct", "k2r", "--r", "32768")  # m = 32
+        assert code == 3 and "ResourceLimit" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_not_applicable(self, capsys, square_file):
         code, _, err = run_main(capsys, "check-thm1", square_file, "1,2")
         assert code == 1 and "NotApplicable" in err

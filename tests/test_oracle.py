@@ -90,4 +90,4 @@ class TestDenseRankOracle:
     @given(sparse_matrices)
     def test_rank_agreement(self, rows):
         mat = [[Fraction(x) for x in row] for row in rows]
-        assert dense_rank(mat) == _matrix_rank(mat)
+        assert dense_rank(mat, 0) == _matrix_rank(mat)
