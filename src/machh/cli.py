@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import masks
 from .cohomology import CohomologyEngine
-from .complexes import SimplicialComplex, glue_simplex, join, k2r_family, k2r_vertex_count, wedge
+from .complexes import glue_simplex, join, k2r_family, k2r_vertex_count, wedge
 from .double import DEFAULT_MAX_M, h_ranks, hh_ranks
 from .errors import (
     BadSigma,
@@ -70,14 +70,6 @@ def _field_and_cap(args) -> tuple[Field, int]:
     if args.max_m < 1 or args.max_m > masks.MAX_GROUND_SET:
         raise ParseError(f"--max-m must be in 1..{masks.MAX_GROUND_SET}")
     return _parse_field(args.field), args.max_m
-
-
-def _load_capped(path: str, max_m: int) -> SimplicialComplex:
-    """The complex in ``path``, refused before any rank work if m exceeds --max-m."""
-    K = load_complex(path)
-    if K.m > max_m:
-        raise ResourceLimit(f"m = {K.m} exceeds --max-m {max_m}")
-    return K
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -176,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ranks(args, want_hh: bool) -> int:
     field, max_m = _field_and_cap(args)
-    K = _load_capped(args.input, max_m)
+    K = load_complex(args.input, max_m)
     engine = CohomologyEngine(K, field)
     h = h_ranks(K, max_m=max_m, engine=engine)
     hh = hh_ranks(K, max_m=max_m, engine=engine) if want_hh else None
@@ -219,7 +211,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check_thm1(args) -> int:
     field, max_m = _field_and_cap(args)
-    K = _load_capped(args.input, max_m)
+    K = load_complex(args.input, max_m)
     sigma = masks.mask_of(_parse_vertex_list(args.sigma), K.m)
     result = verify_theorem1(K, sigma, field, max_m)
     rep = result.report

@@ -3,6 +3,22 @@
 Cochain bases for a full subcomplex K_I keep the ambient vertex labels, so the
 map induced by K_{I\\{i}} -> K_I on cohomology is literally a coordinate
 projection followed by reduction into the target basis.
+
+No elimination runs whose result is already fixed:
+
+- A cone K_I has H̃* = 0, so ``CohomologyEngine.rank`` answers 0 for it
+  without building a ``SubsetCohomology``.
+- Clearing (the "twist" of Chen–Kerber, EuroCG 2011). ``delta_reducer(p)``
+  leaves out the boundary row of every (p+1)-simplex t that is a pivot of
+  ``delta_reducer(p+1)``. That reducer's row with pivot t is a boundary,
+  hence a cycle, and t comes first in its support, so the boundary of t lies
+  in the span of the boundaries of later (p+1)-simplices; by downward
+  induction over the pivots, the rows kept span the same row space. The
+  rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged.
+- ``basis(p)`` spans the image of delta_{p-1} by the coboundaries of the
+  pivot columns of ``delta_reducer(p-1)`` only. The pivot columns of a row
+  space index a basis of the column space, and every residual modulo that
+  image is canonical, so the representatives and ``express`` are unchanged.
 """
 
 from __future__ import annotations
@@ -60,16 +76,18 @@ class SubsetCohomology:
     def __init__(self, K: SimplicialComplex, I: int, field: Field = RATIONALS):
         self.I = I
         self.field = field
-        groups: dict[int, list[int]] = {}
-        for f in K.faces:
-            if f & ~I == 0:
-                groups.setdefault(masks.card(f) - 1, []).append(f)
-        self.simplices = {p: masks.lex_sorted(g) for p, g in groups.items()}
-        self.simplex_sets = {p: frozenset(g) for p, g in groups.items()}
+        outside = ~I
+        self.simplices: dict[int, list[int]] = {}
+        for p, faces in K.faces_by_dim.items():
+            group = [f for f in faces if not f & outside]
+            if not group:
+                break  # no p-face inside I, so no higher one either (K is closed)
+            self.simplices[p] = group
+        self.simplex_sets = {p: frozenset(g) for p, g in self.simplices.items()}
         self.orders = {
             p: {s: i for i, s in enumerate(g)} for p, g in self.simplices.items()
         }
-        self.max_p = max(groups)
+        self.max_p = max(self.simplices)
         self._delta: dict[int, SparseReducer] = {}
         self._basis: dict[int, CohomologyBasis] = {}
         self._betti: dict[int, int] = {}
@@ -95,13 +113,17 @@ class SubsetCohomology:
     def delta_reducer(self, p: int) -> SparseReducer:
         """Echelon form of delta_p, rows indexed by the (p+1)-simplices.
 
-        The row of t has (-1)**i at t minus its i-th smallest vertex.
+        The row of t has (-1)**i at t minus its i-th smallest vertex. Rows of
+        the pivots of ``delta_reducer(p+1)`` are cleared (module docstring).
         """
         red = self._delta.get(p)
         if red is None:
+            cleared = self.delta_reducer(p + 1).rows if p + 2 in self.simplices else {}
             red = SparseReducer(self.orders.get(p, {}), self.field.p)
             minus_one = self.field.p - 1
             for t in self.simplices.get(p + 1, ()):
+                if t in cleared:
+                    continue
                 row = {}
                 sign, other = 1, minus_one
                 rest = t
@@ -135,7 +157,7 @@ class SubsetCohomology:
         combined = SparseReducer(order, self.field.p, track=True)
         reps: list[dict] = []
         if p in self.simplices:
-            for s in self.simplices.get(p - 1, ()):
+            for s in self.delta_reducer(p - 1).rows:
                 combined.add(self.coboundary_vector(p, s))
             for kv in kernel_basis(self.delta_reducer(p), self.simplices[p]):
                 r = combined.residual(kv)
@@ -151,17 +173,46 @@ class SubsetCohomology:
         return basis
 
 
+def _minimal_blockers(K: SimplicialComplex) -> dict[int, tuple[int, ...]]:
+    """For each vertex bit v, the minimal faces f ∌ v of K with f ∪ v ∉ K.
+
+    Such faces are closed upwards within K, so f is minimal when no face
+    f minus one vertex is one of them. K_I is a cone on v ∈ I exactly when
+    none of v's minimal blockers lies inside I.
+    """
+    faces = K.faces
+    out = {}
+    for i in range(K.m):
+        v = 1 << i
+        bad = {f for f in faces if not f & v and f | v not in faces}
+        minimal = []
+        for f in bad:
+            rest = f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if f ^ low in bad:
+                    break
+            else:
+                minimal.append(f)
+        out[v] = tuple(sorted(minimal))
+    return out
+
+
 class CohomologyEngine:
     """Per-subset cohomology cache for a fixed ambient complex K and field.
 
     One engine serves every computation of a request on that (K, field) pair,
-    so each full subcomplex is grouped and eliminated at most once.
+    so each full subcomplex is grouped and eliminated at most once, and a cone
+    K_I is never built for a rank.
     """
 
     def __init__(self, K: SimplicialComplex, field: Field = RATIONALS):
         self.K = K
         self.field = field
         self._cache: dict[int, SubsetCohomology] = {}
+        self._cones: set[int] = set()
+        self._blockers = _minimal_blockers(K)
 
     def subset(self, I: int) -> SubsetCohomology:
         sc = self._cache.get(I)
@@ -170,8 +221,40 @@ class CohomologyEngine:
             self._cache[I] = sc
         return sc
 
+    def is_cone(self, I: int) -> bool:
+        """K_I is a cone on some vertex of I, so H̃*(K_I) = 0 (remembered)."""
+        if I in self._cones:
+            return True
+        rest = I
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if all(b & ~I for b in self._blockers[low]):
+                self._cones.add(I)
+                return True
+        return False
+
     def rank(self, I: int, p: int) -> int:
-        return self.subset(I).betti(p)
+        sc = self._cache.get(I)
+        if sc is None:
+            if self.is_cone(I):
+                return 0
+            sc = self.subset(I)
+        return sc.betti(p)
+
+    def inherit(self, before: "CohomologyEngine", sigma: int) -> None:
+        """Move ``before``'s subsets I with sigma ⊄ I into this engine.
+
+        This engine's K must be ``before.K`` with the simplex sigma glued in:
+        K_I is then the same complex for every I that misses a vertex of
+        sigma. Call it before this engine builds a subset, so the subsets of
+        the two engines are not held twice.
+        """
+        if self.field != before.field or self.K.faces != before.K.faces | {sigma}:
+            raise ValueError("this engine's complex is not the other's with sigma glued")
+        for I in [I for I in before._cache if sigma & ~I]:
+            self._cache[I] = before._cache.pop(I)
+        self._cones.update(I for I in before._cones if sigma & ~I)
 
     def basis(self, I: int, p: int) -> CohomologyBasis:
         return self.subset(I).basis(p)

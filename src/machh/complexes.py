@@ -29,12 +29,13 @@ class SimplicialComplex:
     empty complex ``{∅}`` arising from restriction to the empty subset.
     """
 
-    __slots__ = ("m", "faces", "_facets")
+    __slots__ = ("m", "faces", "_facets", "_by_dim")
 
     def __init__(self, m: int, faces: frozenset[int]):
         self.m = m
         self.faces = faces
         self._facets: tuple[int, ...] | None = None
+        self._by_dim: dict[int, tuple[int, ...]] | None = None
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -65,6 +66,18 @@ class SimplicialComplex:
                     out.append(f)
             self._facets = tuple(masks.lex_sorted(out))
         return self._facets
+
+    @property
+    def faces_by_dim(self) -> dict[int, tuple[int, ...]]:
+        """Faces grouped by dimension, in increasing dimension (the empty face
+        has -1), each group lexicographically ordered (cached). Filtering a
+        group keeps it ordered, so a full subcomplex never sorts."""
+        if self._by_dim is None:
+            groups: dict[int, list[int]] = {}
+            for f in self.faces:
+                groups.setdefault(masks.card(f) - 1, []).append(f)
+            self._by_dim = {p: tuple(masks.lex_sorted(g)) for p, g in sorted(groups.items())}
+        return self._by_dim
 
     def dim(self) -> int:
         return max(masks.card(f) for f in self.faces) - 1

@@ -81,9 +81,10 @@ class RowComplex:
         return dense_rank(mat, self.field.p) if mat else 0
 
     def cohomology_ranks(self) -> dict:
+        ranks = {l: self.differential_rank(l) for l in self.matrices}
         out = {}
         for l, dim in self.dims.items():
-            r = dim - self.differential_rank(l) - self.differential_rank(l + 1)
+            r = dim - ranks.get(l, 0) - ranks.get(l + 1, 0)
             if r:
                 out[l] = r
         return out
@@ -110,6 +111,8 @@ def h_ranks(
         engine = CohomologyEngine(K, field)
     entries: dict = {}
     for I in range(1 << K.m):
+        if engine.is_cone(I):
+            continue
         sc = engine.subset(I)
         l = masks.card(I)
         for p in range(-1, sc.max_p + 1):

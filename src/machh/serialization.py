@@ -8,7 +8,7 @@ from pathlib import Path
 from . import masks
 from .complexes import SimplicialComplex
 from .double import BigradedRankTable
-from .errors import MachhError
+from .errors import MachhError, ResourceLimit
 
 
 class ParseError(MachhError):
@@ -19,7 +19,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def complex_from_dict(doc: dict) -> SimplicialComplex:
+def complex_from_dict(doc: dict, max_m: int | None = None) -> SimplicialComplex:
+    """The complex a document describes.
+
+    A document whose m exceeds ``max_m`` is refused before any facet is
+    expanded, because the closure of one facet on f vertices has 2**f faces.
+    """
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     m = doc.get("m")
@@ -37,17 +42,20 @@ def complex_from_dict(doc: dict) -> SimplicialComplex:
         or not all(isinstance(x, str) for x in labels)
     ):
         raise ParseError('"labels" must be a list of m strings')
+    if max_m is not None and m > max_m:
+        raise ResourceLimit(f"m = {m} exceeds the cap {max_m}")
     return SimplicialComplex.from_facets(m, facets)
 
 
-def load_complex(path: str | Path) -> SimplicialComplex:
+def load_complex(path: str | Path, max_m: int | None = None) -> SimplicialComplex:
+    """Read a complex document; ``max_m`` is as in ``complex_from_dict``."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return complex_from_dict(doc)
+    return complex_from_dict(doc, max_m)
 
 
 def complex_to_dict(K: SimplicialComplex, meta: dict | None = None) -> dict:

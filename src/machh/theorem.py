@@ -116,7 +116,8 @@ def verify_theorem1(
     The verdict also checks the per-row behavior: row n-1 drops by one, row n
     drops by one (witness present) or gains one (no witness), all other rows
     are unchanged. The hypothesis check and the "before" ranks share one
-    engine on K; the glued complex gets its own.
+    engine on K. The glued complex gets its own engine, which takes over the
+    subsets I with sigma ⊄ I, because gluing sigma leaves those K_I as they are.
     """
     engine = CohomologyEngine(K, field)
     report = check_theorem1(K, sigma, engine)
@@ -126,8 +127,11 @@ def verify_theorem1(
         )
     n = report.n
     before = hh_ranks(K, max_m=max_m, engine=engine)
-    del engine  # free K's subsets before the glued complex builds its own
-    after = hh_ranks(glue_simplex(K, sigma), field, max_m)
+    glued = glue_simplex(K, sigma)
+    glued_engine = CohomologyEngine(glued, field)
+    glued_engine.inherit(engine, sigma)
+    del engine  # free K's subsets that contain sigma before the glued engine builds any
+    after = hh_ranks(glued, max_m=max_m, engine=glued_engine)
     rows_before = before.rows()
     rows_after = after.rows()
     ok = after.total() - before.total() == report.predicted_delta

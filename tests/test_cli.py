@@ -234,6 +234,19 @@ class TestExitCodes:
         assert code == 3 and "ResourceLimit" in err
         assert built == []
 
+    def test_cap_before_closure(self, capsys, tmp_path, monkeypatch):
+        # one 18-vertex facet closes to 2**18 faces; --max-m must refuse it first
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"m": 18, "facets": [list(range(1, 19))]}))
+
+        def refuse(cls, m, facets):
+            raise AssertionError("facets expanded before the --max-m check")
+
+        monkeypatch.setattr(M.SimplicialComplex, "from_facets", classmethod(refuse))
+        for argv in (["hh", str(path)], ["h", str(path)], ["check-thm1", str(path), "1,2"]):
+            code, _, err = run_main(capsys, *argv, "--max-m", "10")
+            assert code == 3 and "ResourceLimit" in err, (argv, err)
+
     def test_construct_vertex_cap(self, capsys, tmp_path):
         points = M.SimplicialComplex.from_facets(20, [[v] for v in range(1, 21)])
         a = write_complex(tmp_path / "points.json", points)

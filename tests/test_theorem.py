@@ -4,6 +4,7 @@ import pytest
 
 import machh as M
 from machh import masks
+from machh.cohomology import CohomologyEngine
 from machh.errors import BadSigma, NotApplicable
 from machh.theorem import check_theorem1, verify_theorem1
 
@@ -120,3 +121,34 @@ class TestVerifyTheorem1:
                 assert v.rows_after.get(n, 0) == v.rows_before.get(n, 0) - 1
             else:
                 assert v.rows_after.get(n, 0) == v.rows_before.get(n, 0) + 1
+
+    def test_inherited_subsets_match_a_fresh_engine(self, square, monkeypatch):
+        rng = random.Random(17)
+        # member 3's own non-edge fails hypothesis 3; member 3 is member 4 glued along its one
+        fam = M.k2r_family(4)
+        grow = mask(fam.non_edge, fam.complex.m)
+        assert M.glue_simplex(fam.complex, grow) == M.k2r_family(3).complex
+        cases = [(square, mask([1, 3], 4)), (fam.complex, grow)]
+        for _ in range(4):
+            inner = random_complex(rng, 5)
+            cases.append((M.join(inner, M.two_points()), mask([6, 7], 7)))
+        inherit = CohomologyEngine.inherit
+        moved = []
+
+        def spy(self, before, sigma):
+            inherit(self, before, sigma)
+            moved.append(list(self._cache))
+
+        for K, sigma in cases:
+            for field in (M.RATIONALS, M.prime_field(32003)):
+                monkeypatch.setattr(CohomologyEngine, "inherit", spy)
+                inherited = verify_theorem1(K, sigma, field)
+                monkeypatch.setattr(CohomologyEngine, "inherit", lambda self, before, sigma: None)
+                fresh = verify_theorem1(K, sigma, field)
+                assert inherited == fresh, (K, sigma, field)
+                subsets = moved.pop()
+                assert subsets and all(sigma & ~I for I in subsets), (K, sigma)
+
+    def test_inherit_refuses_an_unrelated_engine(self, square, square_diag):
+        with pytest.raises(ValueError):
+            CohomologyEngine(square).inherit(CohomologyEngine(square_diag), mask([1, 3], 4))
