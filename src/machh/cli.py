@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import tempfile
@@ -98,7 +99,10 @@ def _emit(text: str, out: str | None) -> None:
                 os.unlink(tmp)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then reused: ``parse_args``
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="machh",
         description="Ordinary and double cohomology ranks of moment-angle complexes.",

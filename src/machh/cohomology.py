@@ -15,10 +15,20 @@ No elimination runs whose result is already fixed:
   in the span of the boundaries of later (p+1)-simplices; by downward
   induction over the pivots, the rows kept span the same row space. The
   rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged.
-- ``basis(p)`` spans the image of delta_{p-1} by the coboundaries of the
-  pivot columns of ``delta_reducer(p-1)`` only. The pivot columns of a row
-  space index a basis of the column space, and every residual modulo that
-  image is canonical, so the representatives and ``express`` are unchanged.
+- ``basis(p)`` needs one elimination more. Let F be the p-simplices that
+  are not pivots of ``delta_reducer(p)``. A cocycle is orthogonal to every
+  echelon row, and the row of a pivot q fixes the entry at q from entries at
+  later columns, so a cocycle is fixed by its values on F: Z ≅ k^F, and
+  H̃^p ≅ k^F / B|_F with B the image of delta_{p-1}. B is the column space
+  of the matrix that ``delta_reducer(p-1)`` eliminates. Clearing keeps its
+  row space, and the pivot columns of an echelon form of the row space index
+  a basis of the column space, so the coboundaries of those pivot columns
+  span B. Cut down to F, they are eliminated once in an untracked quotient
+  reducer. The essential columns E (F minus the quotient's pivots) index a
+  basis of H̃^p: the representative of e ∈ E is the cocycle that is 1 at e
+  and 0 on the rest of F (``kernel_basis``). A cocycle's coordinates are its
+  values on E minus those its values on the quotient's pivots carry through
+  the fully reduced quotient rows, so ``express`` sums a per-column table.
 """
 
 from __future__ import annotations
@@ -34,28 +44,47 @@ class CohomologyBasis:
     """Basis data for one reduced cohomology group H̃^p.
 
     ``representatives`` are cocycle vectors (sparse, keyed by simplex mask),
-    linearly independent modulo coboundaries; ``express`` writes any cocycle in
-    these coordinates using the stored elimination.
+    one per essential column, linearly independent modulo coboundaries.
+    ``express`` reads a cocycle's coordinates off its values on the free
+    columns through a table, with no elimination (module docstring).
     """
 
-    __slots__ = ("p", "simplices", "rank", "representatives", "_reducer")
+    __slots__ = ("p", "rank", "representatives", "_table", "_kernel")
 
-    def __init__(self, p, simplices, representatives, reducer):
+    def __init__(self, p, representatives, table, kernel):
         self.p = p
-        self.simplices = simplices
         self.rank = len(representatives)
         self.representatives = representatives
-        self._reducer = reducer
+        self._table = table
+        self._kernel = kernel
 
     def express(self, vec: dict) -> list:
-        """Coordinates of a cocycle modulo coboundaries, dense over representatives."""
-        coeffs = self._reducer.express(vec)
-        if coeffs is None:
-            raise InternalInconsistency("vector is not a cocycle of this group")
+        """Coordinates of a cocycle modulo coboundaries, dense over representatives.
+
+        ``_table`` maps each free column to its coordinates over the essential
+        ones; pivot columns of ``_kernel`` (the echelon form of delta_p) are
+        fixed by the free ones and read nowhere. A vector off the p-simplices
+        or with a nonzero coboundary raises ``InternalInconsistency``.
+        """
+        kernel = self._kernel
+        char = kernel.p
+        if not vec.keys() <= kernel.order.keys():
+            raise InternalInconsistency("vector is not a cochain of this group")
+        get = vec.get
+        for row, _ in kernel.rows.values():
+            x = 0
+            for s, c in row.items():
+                y = get(s)
+                if y is not None:
+                    x += c * y
+            if x % char if char else x:
+                raise InternalInconsistency("vector is not a cocycle of this group")
         out = [0] * self.rank
-        for gen, c in coeffs.items():
-            out[gen] = c
-        return out
+        table = self._table
+        for s, c in vec.items():
+            for k, a in table.get(s, ()):
+                out[k] += c * a
+        return [x % char for x in out] if char else out
 
 
 class SubsetCohomology:
@@ -150,25 +179,36 @@ class SubsetCohomology:
         return b
 
     def basis(self, p: int) -> CohomologyBasis:
+        """Representatives and ``express`` table of H̃^p from one quotient
+        elimination on the free columns (module docstring)."""
         cached = self._basis.get(p)
         if cached is not None:
             return cached
-        order = self.orders.get(p, {})
-        combined = SparseReducer(order, self.field.p, track=True)
-        reps: list[dict] = []
-        if p in self.simplices:
-            for s in self.delta_reducer(p - 1).rows:
-                combined.add(self.coboundary_vector(p, s))
-            for kv in kernel_basis(self.delta_reducer(p), self.simplices[p]):
-                r = combined.residual(kv)
-                if r:
-                    combined.add(r, gen=len(reps))
-                    reps.append(r)
-            if len(reps) != self.betti(p):
-                raise InternalInconsistency(
-                    f"representative count {len(reps)} != betti {self.betti(p)}"
-                )
-        basis = CohomologyBasis(p, tuple(self.simplices.get(p, ())), reps, combined)
+        char = self.field.p
+        if p not in self.simplices:
+            basis = CohomologyBasis(p, [], {}, SparseReducer({}, char))
+            self._basis[p] = basis
+            return basis
+        kernel = self.delta_reducer(p)
+        pivots = kernel.rows
+        quotient = SparseReducer(self.orders[p], char)
+        for s in self.delta_reducer(p - 1).rows:
+            vec = self.coboundary_vector(p, s)
+            quotient.add({t: c for t, c in vec.items() if t not in pivots})
+        essential = [
+            f for f in self.simplices[p] if f not in pivots and f not in quotient.rows
+        ]
+        if len(essential) != self.betti(p):
+            raise InternalInconsistency(
+                f"representative count {len(essential)} != betti {self.betti(p)}"
+            )
+        index = {e: k for k, e in enumerate(essential)}
+        table = {e: ((k, 1),) for e, k in index.items()}
+        for q, row in quotient.rref_rows():
+            table[q] = tuple(
+                (index[e], char - a if char else -a) for e, a in row.items() if e != q
+            )
+        basis = CohomologyBasis(p, kernel_basis(kernel, essential), table, kernel)
         self._basis[p] = basis
         return basis
 
@@ -213,6 +253,7 @@ class CohomologyEngine:
         self._cache: dict[int, SubsetCohomology] = {}
         self._cones: set[int] = set()
         self._blockers = _minimal_blockers(K)
+        self._betti_table: dict[int, dict[int, int]] | None = None
 
     def subset(self, I: int) -> SubsetCohomology:
         sc = self._cache.get(I)
@@ -241,6 +282,28 @@ class CohomologyEngine:
                 return 0
             sc = self.subset(I)
         return sc.betti(p)
+
+    def betti_table(self) -> dict[int, dict[int, int]]:
+        """The nonzero reduced Betti numbers ``{I: {p: b}}``, I increasing.
+
+        Computed once per engine over the non-cone subsets; a cone or an
+        acyclic K_I has no entry.
+        """
+        if self._betti_table is None:
+            table = {}
+            for I in range(1 << self.K.m):
+                if self.is_cone(I):
+                    continue
+                sc = self.subset(I)
+                bettis = {}
+                for p in range(-1, sc.max_p + 1):
+                    b = sc.betti(p)
+                    if b:
+                        bettis[p] = b
+                if bettis:
+                    table[I] = bettis
+            self._betti_table = table
+        return self._betti_table
 
     def inherit(self, before: "CohomologyEngine", sigma: int) -> None:
         """Move ``before``'s subsets I with sigma ⊄ I into this engine.

@@ -149,7 +149,14 @@ def glue_simplex(K: SimplicialComplex, sigma: int) -> SimplicialComplex:
 
 
 class K2rComplex(NamedTuple):
-    """A member of the even-rank family, with its tracked non-edge."""
+    """A member of the even-rank family, with its recorded non-edge.
+
+    For even r the non-edge is a gluing site of the member: gluing it gives
+    member r - 1, and the total double-cohomology rank drops from 2r to
+    2r - 2. For odd r it is a pair carried over from the recursion (the
+    inner member's non-edge, or the other diagonal of the square for r = 1),
+    which fails the gluing theorem's hypothesis 3.
+    """
 
     complex: SimplicialComplex
     non_edge: tuple[int, int]
@@ -177,9 +184,10 @@ def k2r_family(r: int) -> K2rComplex:
     """Recursive family whose member of index r has total double-cohomology rank 2r.
 
     Base cases: index 2 is the square with non-edge (1,3); index 1 is the square
-    with the diagonal {1,3} glued in, non-edge (2,4). Even index doubles by
-    joining with two points; odd index glues the two-point join of the next
-    smaller even member along its new non-edge.
+    with the diagonal {1,3} glued in, recorded pair (2,4). Even index r joins
+    member r/2 with two points, whose pair is its non-edge. Odd index r is
+    member r + 1 glued along that non-edge, and records member (r+1)/2's
+    pair, which is not a gluing site of member r (see ``K2rComplex``).
     """
     _check_ground_set(k2r_vertex_count(r))
     if r == 1:

@@ -110,16 +110,11 @@ def h_ranks(
     if engine is None:
         engine = CohomologyEngine(K, field)
     entries: dict = {}
-    for I in range(1 << K.m):
-        if engine.is_cone(I):
-            continue
-        sc = engine.subset(I)
+    for I, bettis in engine.betti_table().items():
         l = masks.card(I)
-        for p in range(-1, sc.max_p + 1):
-            b = sc.betti(p)
-            if b:
-                key = (-(l - p - 1), 2 * l)
-                entries[key] = entries.get(key, 0) + b
+        for p, b in bettis.items():
+            key = (-(l - p - 1), 2 * l)
+            entries[key] = entries.get(key, 0) + b
     return BigradedRankTable(entries)
 
 
@@ -134,8 +129,8 @@ def assemble_row(
     if engine is None:
         engine = CohomologyEngine(K, field)
     groups: dict[int, list] = {}
-    for I in range(1 << K.m):
-        b = engine.rank(I, p)
+    for I, bettis in engine.betti_table().items():
+        b = bettis.get(p)
         if b:
             groups.setdefault(masks.card(I), []).append((I, b))
     for l in groups:

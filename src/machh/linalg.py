@@ -89,19 +89,37 @@ class SparseReducer:
                 addmul(expr, row[1], c, p)
 
     def add(self, v: dict, gen=None) -> bool:
-        """Insert a vector; returns True iff it enlarged the span."""
+        """Insert a vector; returns True iff it enlarged the span.
+
+        Only the leading entry is eliminated, while it lies on a pivot column:
+        the new row needs no more than a pivot outside the current ones. The
+        pivot set, the span and everything derived from them (``rref_rows``,
+        ``residual``, ``express``) do not depend on how far a stored row is
+        reduced.
+        """
+        order = self.order
+        rows = self.rows
+        p = self.p
+        vec = dict(v)
         expr = None
         if self.track:
             expr = {} if gen is None else {gen: 1}
-        vec, expr = self._reduce(dict(v), expr)
+        while vec:
+            piv = min(vec, key=order.__getitem__)
+            row = rows.get(piv)
+            if row is None:
+                break
+            c = -vec[piv]
+            addmul(vec, row[0], c, p)
+            if expr is not None and row[1] is not None:
+                addmul(expr, row[1], c, p)
         if not vec:
             return False
-        piv = min(vec, key=self.order.__getitem__)
         d = vec[piv]
-        vec = _normalize(vec, d, self.p)
+        vec = _normalize(vec, d, p)
         if expr is not None:
-            expr = _normalize(expr, d, self.p)
-        self.rows[piv] = (vec, expr)
+            expr = _normalize(expr, d, p)
+        rows[piv] = (vec, expr)
         return True
 
     def residual(self, v: dict) -> dict:
@@ -131,22 +149,35 @@ class SparseReducer:
 
 
 def kernel_basis(reducer: SparseReducer, columns: Sequence) -> list[dict]:
-    """Kernel of the matrix accumulated in ``reducer``; columns in their fixed order.
+    """Kernel vectors of the matrix accumulated in ``reducer``, one per free column.
 
-    One basis vector per free column, emitted in column order (deterministic).
+    For each free (non-pivot) column f among ``columns``, in their order, the
+    unique kernel vector that is 1 at f and 0 at every other free column. It
+    is found by back-substitution on the echelon rows: the entry at a pivot q
+    is fixed by the row of q and the entries at later columns, and every
+    pivot after f gets 0.
     """
-    rref = reducer.rref_rows()
-    pivots = {piv for piv, _ in rref}
+    order = reducer.order
+    rows = reducer.rows
     p = reducer.p
+    pivots = sorted(rows, key=order.__getitem__, reverse=True)
     basis = []
     for f in columns:
-        if f in pivots:
+        if f in rows:
             continue
         v = {f: 1}
-        for piv, row in rref:
-            c = row.get(f)
-            if c:
-                v[piv] = p - c
+        pos = order[f]
+        for q in pivots:
+            if order[q] > pos:
+                continue
+            x = 0
+            for s, c in rows[q][0].items():
+                y = v.get(s)
+                if y is not None:
+                    x += c * y
+            x = -x % p if p else -x
+            if x:
+                v[q] = x
         basis.append(v)
     return basis
 

@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,47 @@ def dense_mul(A, B, zero) -> list[list]:
 
 def dense_is_zero(A) -> bool:
     return all(not x for row in A for x in row)
+
+
+def textbook_rref(rows: list[dict], columns: list, char: int) -> list[tuple]:
+    """(pivot, row) of the reduced row echelon form of ``rows`` by dense
+    Gauss-Jordan elimination: ``Fraction`` over Q, ints mod char over GF(char)."""
+
+    def scale(x, d):
+        return x * pow(d, -1, char) % char if char else Fraction(x) / d
+
+    mat = [[row.get(c, 0) for c in columns] for row in rows]
+    out = []
+    for j in range(len(columns)):
+        piv = next((r for r in mat if r[j]), None)
+        if piv is None:
+            continue
+        mat.remove(piv)
+        piv = [scale(x, piv[j]) for x in piv]
+        for r in mat + out:
+            if r[j]:
+                f = r[j]
+                r[:] = [(a - f * b) % char if char else a - f * b for a, b in zip(r, piv)]
+        out.append(piv)
+    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
+    return [
+        (columns[next(j for j, x in enumerate(r) if x)], {c: x for c, x in zip(columns, r) if x})
+        for r in out
+    ]
+
+
+def rref_kernel_basis(red, columns) -> list[dict]:
+    """Kernel vectors of the free columns read off ``rref_rows``: 1 at the free
+    column and minus the column's entry in each fully reduced row."""
+    rref = red.rref_rows()
+    out = []
+    for f in columns:
+        if f in red.rows:
+            continue
+        v = {f: 1}
+        for piv, row in rref:
+            if row.get(f):
+                v[piv] = red.p - row[f]
+        out.append(v)
+    return out
+

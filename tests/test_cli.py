@@ -209,6 +209,22 @@ class TestExitCodes:
         assert run_main(capsys, "hh", square_file, "--max-m", "0")[0] == 2
         assert run_main(capsys, "ladder", "--r-max", "0")[0] == 2
 
+    def test_refused_call_leaves_the_parser_as_it_was(self, capsys, square_file):
+        # the parser is built once per process; a refusal must not change it
+        code, first, _ = run_main(capsys, "h", square_file, "--format", "csv")
+        assert code == 0
+        for argv in [
+            ["h", square_file, "--format", "xml"],
+            ["h", square_file, "--verify-exact"],
+            ["h", square_file, "--max-m", "ten"],
+            ["h"],
+            ["nonsense"],
+        ]:
+            assert run_main(capsys, *argv)[0] == 2, argv
+        assert run_main(capsys, "h", square_file, "--format", "csv") == (0, first, "")
+        code, out, _ = run_main(capsys, "hh", square_file, "--field", "gf:3")
+        assert code == 0 and json.loads(out)["hh_total"] == 4
+
     def test_huge_prime_refused_at_once(self, capsys, square_file):
         start = time.perf_counter()
         code, _, err = run_main(capsys, "hh", square_file, "--field", "gf:2305843009213693951")

@@ -9,10 +9,18 @@ import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine, SubsetCohomology
 from machh.double import assemble_row
+from machh.errors import InternalInconsistency
 from machh.fields import prime_field
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
 
-from conftest import complexes, dense_mul, random_complex, simplex
+from conftest import (
+    complexes,
+    dense_mul,
+    random_complex,
+    rref_kernel_basis,
+    simplex,
+    textbook_rref,
+)
 
 
 def boundary_sphere(n: int) -> M.SimplicialComplex:
@@ -161,7 +169,9 @@ class TestScalarTypes:
         for I, sc in list(eng._cache.items()):
             reducers = list(sc._delta.values())
             for p, basis in sc._basis.items():
-                reducers.append(basis._reducer)
+                reducers.append(basis._kernel)
+                # the table holds the quotient's fully reduced rows, negated
+                yield from (a for coords in basis._table.values() for _, a in coords)
                 yield from (x for rep in basis.representatives for x in rep.values())
                 for i in masks.vertices(I):
                     yield from (x for row in eng.psi(I, i, p) for x in row)
@@ -229,14 +239,87 @@ class TestSkippedWork:
                 for t in sc.simplices.get(p + 1, ()):
                     full[p].add(boundary_row(t, char))
                 assert sc.delta_reducer(p).rref_rows() == full[p].rref_rows(), (K, I, p)
+            L = M.full_subcomplex(K, I)
             for p in range(-1, sc.max_p + 1):
-                combined = SparseReducer(sc.orders[p], char, track=True)
-                for s in sc.simplices.get(p - 1, ()):
-                    combined.add(sc.coboundary_vector(p, s))
-                reps = []
-                for kv in kernel_basis(full[p], sc.simplices[p]):
-                    r = combined.residual(kv)
-                    if r:
-                        combined.add(r, gen=len(reps))
-                        reps.append(r)
-                assert sc.basis(p).representatives == reps, (K, I, p)
+                pivots = full[p].rows
+
+                def quotient(sources):
+                    red = SparseReducer(sc.orders[p], char)
+                    for s in sources:
+                        vec = sc.coboundary_vector(p, s)
+                        red.add({t: c for t, c in vec.items() if t not in pivots})
+                    return red
+
+                cleared = quotient(sc.delta_reducer(p - 1).rows)
+                every = quotient(sc.simplices.get(p - 1, ()))
+                assert cleared.rref_rows() == every.rref_rows(), (K, I, p)
+                essential = [f for f in sc.simplices[p] if f not in pivots and f not in every.rows]
+                assert len(essential) == sc.basis(p).rank == M.oracle_reduced_betti(L, p)
+
+
+class TestFreeColumnBases:
+    """Leading-term elimination, back-substituted kernels, the quotient on the
+    free columns and the engine's Betti table against the references they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_m=7), FIELDS)
+    def test_reducers_and_kernels_match_references(self, K, field):
+        char = field.p
+        for I in range(1 << K.m):
+            sc = SubsetCohomology(K, I, field)
+            for p in range(-1, sc.max_p + 1):
+                red = sc.delta_reducer(p)
+                columns = sc.simplices[p]
+                every = [boundary_row(t, char) for t in sc.simplices.get(p + 1, ())]
+                rref = textbook_rref(every, columns, char)
+                assert red.rank == len(rref)
+                assert set(red.rows) == {q for q, _ in rref}
+                assert red.rref_rows() == rref, (K, I, p)
+                assert kernel_basis(red, columns) == rref_kernel_basis(red, columns)
+                some = columns[::2]
+                assert kernel_basis(red, some) == rref_kernel_basis(red, some)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_m=7), FIELDS, st.randoms(use_true_random=False))
+    def test_express_inverts_representatives(self, K, field, rng):
+        char = field.p
+        eng = CohomologyEngine(K, field)
+        for I in range(1 << K.m):
+            sc = eng.subset(I)
+            for p in range(-1, sc.max_p + 1):
+                basis = sc.basis(p)
+                a = [rng.randint(-3, 3) for _ in basis.representatives]
+                if char:
+                    a = [x % char for x in a]
+                vec: dict = {}
+                terms = [(x, rep) for x, rep in zip(a, basis.representatives)]
+                terms += [
+                    (rng.randint(-3, 3), sc.coboundary_vector(p, s))
+                    for s in sc.simplices.get(p - 1, ())
+                ]
+                for x, v in terms:
+                    for s, c in v.items():
+                        vec[s] = vec.get(s, 0) + x * c
+                vec = {s: c % char if char else c for s, c in vec.items()}
+                vec = {s: c for s, c in vec.items() if c}
+                assert basis.express(vec) == a, (K, I, p)
+                for q in sc.delta_reducer(p).rows:
+                    broken = dict(vec)
+                    broken[q] = (broken.get(q, 0) + 1) % char if char else broken.get(q, 0) + 1
+                    with pytest.raises(InternalInconsistency):
+                        basis.express(broken)
+                with pytest.raises(InternalInconsistency):
+                    basis.express({I | 1 << K.m: 1})  # not a simplex of K_I
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_m=7), FIELDS)
+    def test_betti_table_matches_oracle(self, K, field):
+        eng = CohomologyEngine(K, field)
+        table = eng.betti_table()
+        for I in range(1 << K.m):
+            L = M.full_subcomplex(K, I)
+            betti = {p: M.oracle_reduced_betti(L, p) for p in range(-1, K.dim() + 1)}
+            assert table.get(I, {}) == {p: b for p, b in betti.items() if b}, (K, I)
+            if eng.is_cone(I):
+                assert I not in table
+        assert list(table) == sorted(table)

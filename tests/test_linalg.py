@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
 from machh.oracle import _matrix_rank, _null_space
 
+from conftest import rref_kernel_basis, textbook_rref
+
 int_matrices = st.integers(1, 8).flatmap(
     lambda ncols: st.lists(
         st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
@@ -91,3 +93,20 @@ def test_rank_over_gf_matches_dense(mat, p):
     assert dense_rank(reduced, p) == red.rank
     for vec, _ in red.rows.values():
         assert all(type(x) is int and 0 < x < p for x in vec.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices, st.sampled_from([0, 3, 32003]))
+@example([[2, 1], [1, 1]], 0)
+def test_add_matches_textbook_rref(mat, p):
+    rows = [sparse([x % p if p else x for x in row]) for row in mat]
+    columns = list(range(len(mat[0])))
+    red = SparseReducer(columns, p)
+    for row in rows:
+        red.add(row)
+    rref = textbook_rref(rows, columns, p)
+    assert red.rank == len(rref)
+    assert set(red.rows) == {q for q, _ in rref}
+    assert red.rref_rows() == rref
+    assert kernel_basis(red, columns) == rref_kernel_basis(red, columns)
+    assert kernel_basis(red, columns[::-2]) == rref_kernel_basis(red, columns[::-2])

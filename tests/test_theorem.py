@@ -152,3 +152,17 @@ class TestVerifyTheorem1:
     def test_inherit_refuses_an_unrelated_engine(self, square, square_diag):
         with pytest.raises(ValueError):
             CohomologyEngine(square).inherit(CohomologyEngine(square_diag), mask([1, 3], 4))
+
+
+@pytest.mark.parametrize("r", [2, 4, 6, 8])
+def test_k2r_recorded_non_edge_glues_to_the_previous_member(r):
+    built = M.k2r_family(r)
+    res = verify_theorem1(built.complex, mask(built.non_edge, built.complex.m))
+    assert res.verdict
+    assert (res.rank_before, res.rank_after) == (2 * r, 2 * r - 2)
+
+
+def test_k2r_recorded_pair_of_an_odd_member_is_not_a_gluing_site():
+    built = M.k2r_family(3)
+    with pytest.raises(NotApplicable, match=r"hypotheses \[3\]"):
+        verify_theorem1(built.complex, mask(built.non_edge, built.complex.m))
