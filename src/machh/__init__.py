@@ -19,7 +19,6 @@ from .complexes import (
 from .cohomology import CohomologyBasis, CohomologyEngine
 from .double import BigradedRankTable, RowComplex, assemble_row, h_ranks, hh_ranks
 from .fields import RATIONALS, Field, prime_field
-from .masks import sign_epsilon
 from .oracle import oracle_hh_rows, oracle_hh_total, oracle_reduced_betti
 from .theorem import Thm1Report, Thm1Verification, check_theorem1, verify_theorem1
 from . import errors, masks
@@ -41,7 +40,6 @@ __all__ = [
     "assemble_row",
     "h_ranks",
     "hh_ranks",
-    "sign_epsilon",
     "RATIONALS",
     "Field",
     "prime_field",

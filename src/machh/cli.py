@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 theorem hypotheses fail, 2 parse/argument error,
-3 resource limit, 4 ghost vertex, 5 verdict mismatch (a bug or counterexample).
+Exit codes: 0 success, 5 verdict or verification mismatch (a bug or a
+counterexample); a library error exits with its class's ``exit_code`` (see
+``errors``), and a ``ValueError`` from a type accident in the input with 2.
 """
 
 from __future__ import annotations
@@ -15,25 +16,13 @@ import tempfile
 from pathlib import Path
 
 from . import masks
-from .cohomology import CohomologyEngine
+from .cohomology import DEFAULT_MAX_M, CohomologyEngine
 from .complexes import glue_simplex, join, k2r_family, k2r_vertex_count, wedge
-from .double import DEFAULT_MAX_M, h_ranks, hh_ranks
-from .errors import (
-    BadSigma,
-    BoundaryMissing,
-    FaceAlreadyPresent,
-    GhostVertex,
-    MachhError,
-    NotApplicable,
-    NotAVertex,
-    NotInSubset,
-    ResourceLimit,
-    VertexOutOfRange,
-)
+from .double import h_ranks, hh_ranks
+from .errors import MachhError, ParseError, ResourceLimit
 from .fields import RATIONALS, Field, prime_field
 from .oracle import oracle_hh_rows
 from .serialization import (
-    ParseError,
     complex_to_dict,
     load_complex,
     render_json,
@@ -173,13 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_ranks(args, want_hh: bool) -> int:
     field, max_m = _field_and_cap(args)
     K = load_complex(args.input, max_m)
-    engine = CohomologyEngine(K, field)
-    h = h_ranks(K, max_m=max_m, engine=engine)
-    hh = hh_ranks(K, max_m=max_m, engine=engine) if want_hh else None
+    engine = CohomologyEngine(K, field, max_m)
+    h = h_ranks(engine)
+    hh = hh_ranks(engine) if want_hh else None
     del engine  # free its subsets before --verify-exact builds a second engine
     doc = result_document(K.m, field.name, h=h, hh=hh)
     if want_hh and args.verify_exact and field is not RATIONALS:
-        exact = hh_ranks(K, RATIONALS, max_m)
+        exact = hh_ranks(CohomologyEngine(K, RATIONALS, max_m))
         if exact.entries != hh.entries:
             sys.stderr.write("VerificationMismatch: gf ranks differ from exact rational ranks\n")
             return 5
@@ -253,7 +242,7 @@ def _cmd_ladder(args) -> int:
         if m > max_m:
             raise ResourceLimit(f"family member r={r} needs m={m} > --max-m {max_m}")
         K = k2r_family(r).complex
-        rank = hh_ranks(K, field, max_m).total()
+        rank = hh_ranks(CohomologyEngine(K, field, max_m)).total()
         ok = rank == 2 * r
         all_pass = all_pass and ok
         rows.append({"r": r, "m": K.m, "rank": rank, "expected": 2 * r, "pass": ok})
@@ -305,30 +294,12 @@ def _run(argv) -> int:
 def main(argv=None) -> int:
     try:
         return _run(argv)
-    except NotApplicable as exc:
-        sys.stderr.write(f"NotApplicable: {exc}\n")
-        return 1
-    except GhostVertex as exc:
-        sys.stderr.write(f"GhostVertex: {exc}\n")
-        return 4
-    except ResourceLimit as exc:
-        sys.stderr.write(f"ResourceLimit: {exc}\n")
-        return 3
-    except (
-        ParseError,
-        VertexOutOfRange,
-        BadSigma,
-        NotAVertex,
-        NotInSubset,
-        FaceAlreadyPresent,
-        BoundaryMissing,
-        ValueError,
-    ) as exc:
+    except MachhError as exc:
+        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+        return exc.exit_code
+    except ValueError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
-    except MachhError as exc:  # anything else from the library is a bug
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 5
 
 
 if __name__ == "__main__":

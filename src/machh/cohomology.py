@@ -35,9 +35,11 @@ from __future__ import annotations
 
 from . import masks
 from .complexes import SimplicialComplex
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, ResourceLimit
 from .fields import RATIONALS, Field
 from .linalg import SparseReducer, kernel_basis
+
+DEFAULT_MAX_M = 22
 
 
 class CohomologyBasis:
@@ -94,12 +96,10 @@ class SubsetCohomology:
         "I",
         "field",
         "simplices",
-        "simplex_sets",
         "orders",
         "max_p",
         "_delta",
         "_basis",
-        "_betti",
     )
 
     def __init__(self, K: SimplicialComplex, I: int, field: Field = RATIONALS):
@@ -112,21 +112,19 @@ class SubsetCohomology:
             if not group:
                 break  # no p-face inside I, so no higher one either (K is closed)
             self.simplices[p] = group
-        self.simplex_sets = {p: frozenset(g) for p, g in self.simplices.items()}
         self.orders = {
             p: {s: i for i, s in enumerate(g)} for p, g in self.simplices.items()
         }
         self.max_p = max(self.simplices)
         self._delta: dict[int, SparseReducer] = {}
         self._basis: dict[int, CohomologyBasis] = {}
-        self._betti: dict[int, int] = {}
 
     def coboundary_vector(self, p: int, s: int) -> dict:
         """delta(s*) as a sparse vector over the p-simplices, s of degree p-1.
 
         The entry at s ∪ {j} is (-1)**(# elements of s below j).
         """
-        targets = self.simplex_sets.get(p, frozenset())
+        targets = self.orders.get(p, ())
         sign, other = 1, self.field.p - 1
         vec = {}
         rest = self.I
@@ -168,15 +166,7 @@ class SubsetCohomology:
     def betti(self, p: int) -> int:
         if p not in self.simplices:
             return 0
-        b = self._betti.get(p)
-        if b is None:
-            b = (
-                len(self.simplices[p])
-                - self.delta_reducer(p).rank
-                - self.delta_reducer(p - 1).rank
-            )
-            self._betti[p] = b
-        return b
+        return len(self.simplices[p]) - self.delta_reducer(p).rank - self.delta_reducer(p - 1).rank
 
     def basis(self, p: int) -> CohomologyBasis:
         """Representatives and ``express`` table of H̃^p from one quotient
@@ -244,10 +234,14 @@ class CohomologyEngine:
 
     One engine serves every computation of a request on that (K, field) pair,
     so each full subcomplex is grouped and eliminated at most once, and a cone
-    K_I is never built for a rank.
+    K_I is never built for a rank. The engine is the only place a request
+    names its complex, field and vertex cap: a K with more than ``max_m``
+    vertices raises ``ResourceLimit`` before any work.
     """
 
-    def __init__(self, K: SimplicialComplex, field: Field = RATIONALS):
+    def __init__(self, K: SimplicialComplex, field: Field = RATIONALS, max_m: int = DEFAULT_MAX_M):
+        if K.m > max_m:
+            raise ResourceLimit(f"m = {K.m} exceeds the configured cap {max_m}")
         self.K = K
         self.field = field
         self._cache: dict[int, SubsetCohomology] = {}
@@ -319,14 +313,11 @@ class CohomologyEngine:
             self._cache[I] = before._cache.pop(I)
         self._cones.update(I for I in before._cones if sigma & ~I)
 
-    def basis(self, I: int, p: int) -> CohomologyBasis:
-        return self.subset(I).basis(p)
-
     def psi(self, I: int, i: int, p: int) -> list[list]:
         """Matrix of the restriction H̃^p(K_I) -> H̃^p(K_{I\\{i}}) in the stored bases."""
-        src = self.basis(I, p)
-        dst = self.basis(I & ~masks.bit(i), p)
         ibit = masks.bit(i)
+        src = self.subset(I).basis(p)
+        dst = self.subset(I & ~ibit).basis(p)
         cols = []
         for rep in src.representatives:
             restricted = {s: c for s, c in rep.items() if not s & ibit}

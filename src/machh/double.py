@@ -11,15 +11,10 @@ from dataclasses import dataclass
 
 from . import masks
 from .cohomology import CohomologyEngine
-from .complexes import SimplicialComplex
-from .errors import ResourceLimit
-from .fields import RATIONALS, Field
+from .fields import Field
 from .linalg import dense_rank
 
-DEFAULT_MAX_M = 22
-
 __all__ = [
-    "DEFAULT_MAX_M",
     "BigradedRankTable",
     "RowComplex",
     "h_ranks",
@@ -33,9 +28,6 @@ class BigradedRankTable:
     """Map from bidegree (-k, 2l) to a positive rank; absent entries are zero."""
 
     entries: dict
-
-    def rank(self, k: int, two_l: int) -> int:
-        return self.entries.get((-k, two_l), 0)
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -90,25 +82,12 @@ class RowComplex:
         return out
 
 
-def _check_cap(K: SimplicialComplex, max_m: int) -> None:
-    if K.m > max_m:
-        raise ResourceLimit(f"m = {K.m} exceeds the configured cap {max_m}")
+def h_ranks(engine: CohomologyEngine) -> BigradedRankTable:
+    """Bigraded ranks of H*(Z_K) by summing H̃^{l-k-1}(K_I) over |I| = l,
+    for the engine's complex K over its field.
 
-
-def h_ranks(
-    K: SimplicialComplex,
-    field: Field = RATIONALS,
-    max_m: int = DEFAULT_MAX_M,
-    engine: CohomologyEngine | None = None,
-) -> BigradedRankTable:
-    """Bigraded ranks of H*(Z_K) by summing H̃^{l-k-1}(K_I) over |I| = l.
-
-    A passed ``engine`` (built on K) supplies the field and keeps its subsets
-    for later calls, such as ``hh_ranks`` on the same complex.
+    The engine keeps its subsets for later calls, such as ``hh_ranks``.
     """
-    _check_cap(K, max_m)
-    if engine is None:
-        engine = CohomologyEngine(K, field)
     entries: dict = {}
     for I, bettis in engine.betti_table().items():
         l = masks.card(I)
@@ -118,16 +97,9 @@ def h_ranks(
     return BigradedRankTable(entries)
 
 
-def assemble_row(
-    K: SimplicialComplex,
-    p: int,
-    engine: CohomologyEngine | None = None,
-    field: Field = RATIONALS,
-) -> RowComplex:
-    """Groups and block differentials of the degree-p row, with the sign
-    (-1)**(p+1) * epsilon(i, I) on the block (I, I\\{i})."""
-    if engine is None:
-        engine = CohomologyEngine(K, field)
+def assemble_row(engine: CohomologyEngine, p: int) -> RowComplex:
+    """Groups and block differentials of the degree-p row of the engine's
+    complex, with the sign (-1)**(p+1) * epsilon(i, I) on the block (I, I\\{i})."""
     groups: dict[int, list] = {}
     for I, bettis in engine.betti_table().items():
         b = bettis.get(p)
@@ -168,22 +140,12 @@ def assemble_row(
     return RowComplex(p=p, groups=groups, dims=dims, matrices=matrices, field=engine.field)
 
 
-def hh_ranks(
-    K: SimplicialComplex,
-    field: Field = RATIONALS,
-    max_m: int = DEFAULT_MAX_M,
-    engine: CohomologyEngine | None = None,
-) -> BigradedRankTable:
-    """Bigraded double cohomology ranks: cohomology of every row of (H*(Z_K), d').
-
-    ``engine`` is as in ``h_ranks``.
-    """
-    _check_cap(K, max_m)
-    if engine is None:
-        engine = CohomologyEngine(K, field)
+def hh_ranks(engine: CohomologyEngine) -> BigradedRankTable:
+    """Bigraded double cohomology ranks: cohomology of every row of (H*(Z_K), d'),
+    for the engine's complex K over its field."""
     entries: dict = {}
-    for p in range(-1, K.dim() + 1):
-        row = assemble_row(K, p, engine)
+    for p in range(-1, engine.K.dim() + 1):
+        row = assemble_row(engine, p)
         for l, r in row.cohomology_ranks().items():
             entries[(-(l - p - 1), 2 * l)] = r
     return BigradedRankTable(entries)

@@ -8,11 +8,7 @@ from pathlib import Path
 from . import masks
 from .complexes import SimplicialComplex
 from .double import BigradedRankTable
-from .errors import MachhError, ResourceLimit
-
-
-class ParseError(MachhError):
-    """Malformed input document."""
+from .errors import ParseError, ResourceLimit
 
 
 def _is_int(x) -> bool:

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import masks
-from .cohomology import CohomologyEngine
+from .cohomology import DEFAULT_MAX_M, CohomologyEngine
 from .complexes import SimplicialComplex, glue_simplex
-from .double import DEFAULT_MAX_M, hh_ranks
+from .double import hh_ranks
 from .errors import BadSigma, NotApplicable
 from .fields import RATIONALS, Field
 
@@ -53,22 +53,17 @@ def _relabeling(m: int, sigma: int) -> tuple:
     return tuple(perm)
 
 
-def check_theorem1(
-    K: SimplicialComplex,
-    sigma: int,
-    engine: CohomologyEngine | None = None,
-    field: Field = RATIONALS,
-) -> Thm1Report:
-    """Evaluate the four hypotheses and predict the total-rank change.
+def check_theorem1(engine: CohomologyEngine, sigma: int) -> Thm1Report:
+    """Evaluate the four hypotheses on the engine's complex K and predict the
+    total-rank change.
 
     predicted_delta is -2 when some J = sigma ∪ {j,k} has rank H̃^n(K_J) = 1
     (witnessing_J is the lexicographically least such J), else 0.
     """
+    K = engine.K
     n = masks.card(sigma) - 1
     if n < 1 or sigma & ~masks.full_mask(K.m):
         raise BadSigma(f"sigma must have >= 2 vertices inside [{K.m}]")
-    if engine is None:
-        engine = CohomologyEngine(K, field)
     outside = [v for v in range(1, K.m + 1) if not masks.contains(sigma, v)]
     sigma_verts = masks.vertices(sigma)
 
@@ -118,20 +113,21 @@ def verify_theorem1(
     are unchanged. The hypothesis check and the "before" ranks share one
     engine on K. The glued complex gets its own engine, which takes over the
     subsets I with sigma ⊄ I, because gluing sigma leaves those K_I as they are.
+    Both engines are built here, not passed in, so that no caller still holds
+    K's engine when it is dropped before the glued engine builds a subset.
     """
-    engine = CohomologyEngine(K, field)
-    report = check_theorem1(K, sigma, engine)
+    engine = CohomologyEngine(K, field, max_m)
+    report = check_theorem1(engine, sigma)
     if not report.applicable:
         raise NotApplicable(
             f"hypotheses {report.failed_conditions() or ['m >= n+2']} fail for sigma {masks.mask_str(sigma)}"
         )
     n = report.n
-    before = hh_ranks(K, max_m=max_m, engine=engine)
-    glued = glue_simplex(K, sigma)
-    glued_engine = CohomologyEngine(glued, field)
+    before = hh_ranks(engine)
+    glued_engine = CohomologyEngine(glue_simplex(K, sigma), field, max_m)
     glued_engine.inherit(engine, sigma)
     del engine  # free K's subsets that contain sigma before the glued engine builds any
-    after = hh_ranks(glued, max_m=max_m, engine=glued_engine)
+    after = hh_ranks(glued_engine)
     rows_before = before.rows()
     rows_after = after.rows()
     ok = after.total() - before.total() == report.predicted_delta

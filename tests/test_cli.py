@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import machh as M
 from machh.cli import main
 from machh.cohomology import CohomologyEngine
-from machh.errors import MachhError
+from machh.errors import InternalInconsistency, MachhError, NotInSubset, ParseError
 from machh.serialization import (
-    ParseError,
     complex_from_dict,
     complex_to_dict,
     load_complex,
@@ -90,7 +89,7 @@ class TestSerialization:
             load_complex(tmp_path / "absent.json")
 
     def test_csv_render(self, square):
-        assert render_table_csv(hh_ranks(square)) == (
+        assert render_table_csv(hh_ranks(CohomologyEngine(square))) == (
             "k,l,rank\n0,0,1\n1,2,2\n2,4,1\n"
         )
 
@@ -189,7 +188,50 @@ class TestRankCommands:
             assert len(built) == engines, argv
 
 
+ERROR_CASES = [
+    ("NotApplicable", 1, ["check-thm1", "{square}", "1,2"]),
+    ("ParseError", 2, ["hh", "{absent}"]),
+    ("VertexOutOfRange", 2, ["hh", "{out_of_range}"]),
+    ("BadSigma", 2, ["check-thm1", "{square}", "2"]),
+    ("NotAVertex", 2, ["construct", "wedge", "{square}", "{square}", "--at-a", "9", "--at-b", "1"]),
+    ("FaceAlreadyPresent", 2, ["construct", "glue", "{square}", "--face", "1,2"]),
+    ("BoundaryMissing", 2, ["construct", "glue", "{square}", "--face", "1,2,3"]),
+    ("ResourceLimit", 3, ["hh", "{square}", "--max-m", "3"]),
+    ("GhostVertex", 4, ["hh", "{ghost}"]),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name,code,argv", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
+    def test_error_class_exit_code(self, capsys, tmp_path, square_file, name, code, argv):
+        (tmp_path / "range.json").write_text(json.dumps({"m": 2, "facets": [[1, 3]]}))
+        (tmp_path / "ghost.json").write_text(json.dumps({"m": 3, "facets": [[1, 2]]}))
+        files = {
+            "square": square_file,
+            "absent": str(tmp_path / "absent.json"),
+            "out_of_range": str(tmp_path / "range.json"),
+            "ghost": str(tmp_path / "ghost.json"),
+        }
+        got, out, err = run_main(capsys, *(a.format(**files) for a in argv))
+        assert (got, out) == (code, "")
+        assert err.startswith(f"{name}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (InternalInconsistency("broken"), 5),
+            (NotInSubset("broken"), 2),
+            (ValueError("broken"), 2),
+        ],
+        ids=["InternalInconsistency", "NotInSubset", "ValueError"],
+    )
+    def test_error_raised_mid_request(self, capsys, square_file, monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("machh.cli.h_ranks", fail)
+        assert run_main(capsys, "h", square_file) == (code, "", f"{type(exc).__name__}: broken\n")
+
     def test_resource_limit(self, capsys, square_file):
         code, _, err = run_main(capsys, "hh", square_file, "--max-m", "3")
         assert code == 3 and "ResourceLimit" in err

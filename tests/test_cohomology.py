@@ -31,7 +31,7 @@ def boundary_sphere(n: int) -> M.SimplicialComplex:
 
 def cohomology(L: M.SimplicialComplex, p: int):
     """H̃^p(L) as the engine computes it for the full subset of L."""
-    return CohomologyEngine(L).basis(masks.full_mask(L.m), p)
+    return CohomologyEngine(L).subset(masks.full_mask(L.m)).basis(p)
 
 
 class TestCochainComplex:
@@ -160,7 +160,7 @@ class TestScalarTypes:
     def stored_scalars(K, field):
         eng = CohomologyEngine(K, field)
         for p in range(-1, K.dim() + 1):
-            for mat in assemble_row(K, p, eng).matrices.values():
+            for mat in assemble_row(eng, p).matrices.values():
                 yield from (x for row in mat for x in row)
         # psi below may build a cone target that no rank built, so build every
         # subset first and walk a snapshot of the cache

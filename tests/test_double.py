@@ -24,29 +24,29 @@ class TestSignEpsilon:
         [(2, [2, 5, 7], 1), (5, [2, 5, 7], -1), (7, [2, 5, 7], 1)],
     )
     def test_examples(self, j, subset, expected):
-        assert M.sign_epsilon(j, masks.mask_of(subset, 7)) == expected
+        assert masks.sign_epsilon(j, masks.mask_of(subset, 7)) == expected
 
     def test_not_in_subset(self):
         with pytest.raises(NotInSubset):
-            M.sign_epsilon(3, masks.mask_of([2, 5], 5))
+            masks.sign_epsilon(3, masks.mask_of([2, 5], 5))
 
 
 class TestHRanks:
     def test_square(self, square):
-        t = h_ranks(square)
+        t = h_ranks(CohomologyEngine(square))
         assert t.entries == {(0, 0): 1, (-1, 4): 2, (-2, 8): 1}
         assert t.total() == 4
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_simplex(self, n):
-        assert h_ranks(simplex(n)).entries == {(0, 0): 1}
+        assert h_ranks(CohomologyEngine(simplex(n))).entries == {(0, 0): 1}
 
     def test_two_points(self):
-        assert h_ranks(M.two_points()).entries == {(0, 0): 1, (-1, 4): 1}
+        assert h_ranks(CohomologyEngine(M.two_points())).entries == {(0, 0): 1, (-1, 4): 1}
 
     def test_resource_limit(self, square):
         with pytest.raises(ResourceLimit):
-            h_ranks(square, max_m=3)
+            CohomologyEngine(square, max_m=3)
 
     def test_total_matches_subset_sums(self):
         rng = random.Random(3)
@@ -58,12 +58,29 @@ class TestHRanks:
                 for I in range(1 << K.m)
                 for p in range(-1, K.dim() + 1)
             )
-            assert h_ranks(K, engine=eng).total() == raw
+            assert h_ranks(eng).total() == raw
+
+
+class TestEngineCarriesTheRequest:
+    """The engine is the one place a request names its complex, field and cap."""
+
+    def test_cap_refused_when_the_engine_is_built(self):
+        with pytest.raises(ResourceLimit):
+            CohomologyEngine(M.k2r_family(16).complex, max_m=4)
+
+    def test_row_is_over_the_engines_field(self):
+        gf3 = M.prime_field(3)
+        points = M.SimplicialComplex.from_facets(3, [[1], [2], [3]])
+        row = assemble_row(CohomologyEngine(points, gf3), 0)
+        assert row.field == gf3
+        entries = [x for mat in row.matrices.values() for r in mat for x in r]
+        assert entries and all(type(x) is int and 0 <= x < 3 for x in entries)
+        assert 2 in entries  # a block sign of -1, reduced mod 3
 
 
 class TestAssembleRow:
     def test_square_row_zero(self, square):
-        row = assemble_row(square, 0)
+        row = assemble_row(CohomologyEngine(square), 0)
         assert [I for I, _ in row.groups[2]] == [
             masks.mask_of([1, 3], 4),
             masks.mask_of([2, 4], 4),
@@ -72,12 +89,12 @@ class TestAssembleRow:
         assert row.cohomology_ranks() == {2: 2}
 
     def test_any_row_minus_one(self, square):
-        row = assemble_row(square, -1)
+        row = assemble_row(CohomologyEngine(square), -1)
         assert row.groups == {0: [(0, 1)]}
         assert row.matrices == {}
 
     def test_square_diag_row_one(self, square_diag):
-        row = assemble_row(square_diag, 1)
+        row = assemble_row(CohomologyEngine(square_diag), 1)
         # two hollow triangles contribute in cardinality 3, the whole set in 4
         assert row.dims == {3: 2, 4: 2}
         assert row.cohomology_ranks() == {}  # all classes cancel within the row
@@ -85,31 +102,31 @@ class TestAssembleRow:
 
 class TestHHRanks:
     def test_known_totals(self, square, square_diag):
-        assert hh_ranks(square).total() == 4
-        assert hh_ranks(M.two_points()).total() == 2
-        assert hh_ranks(square_diag).total() == 2
-        assert hh_ranks(M.k2r_family(3).complex).total() == 6
+        assert hh_ranks(CohomologyEngine(square)).total() == 4
+        assert hh_ranks(CohomologyEngine(M.two_points())).total() == 2
+        assert hh_ranks(CohomologyEngine(square_diag)).total() == 2
+        assert hh_ranks(CohomologyEngine(M.k2r_family(3).complex)).total() == 6
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_simplex(self, n):
-        assert hh_ranks(simplex(n)).entries == {(0, 0): 1}
+        assert hh_ranks(CohomologyEngine(simplex(n))).entries == {(0, 0): 1}
 
     def test_row_profiles(self, square, square_diag):
-        assert hh_ranks(square).rows() == {-1: 1, 0: 2, 1: 1}
-        assert hh_ranks(simplex(3)).rows() == {-1: 1}
-        assert hh_ranks(square_diag).rows() == {-1: 1, 0: 1}
-        assert M.hh_ranks(square).rows() == {-1: 1, 0: 2, 1: 1}
+        assert hh_ranks(CohomologyEngine(square)).rows() == {-1: 1, 0: 2, 1: 1}
+        assert hh_ranks(CohomologyEngine(simplex(3))).rows() == {-1: 1}
+        assert hh_ranks(CohomologyEngine(square_diag)).rows() == {-1: 1, 0: 1}
+        assert M.hh_ranks(M.CohomologyEngine(square)).rows() == {-1: 1, 0: 2, 1: 1}
 
     def test_euler_examples(self, square):
-        assert hh_ranks(square).euler_characteristic() == 0
-        assert hh_ranks(simplex(2)).euler_characteristic() == 1
-        assert hh_ranks(M.two_points()).euler_characteristic() == 0
+        assert hh_ranks(CohomologyEngine(square)).euler_characteristic() == 0
+        assert hh_ranks(CohomologyEngine(simplex(2))).euler_characteristic() == 1
+        assert hh_ranks(CohomologyEngine(M.two_points())).euler_characteristic() == 0
 
     def test_zero_zero_entry_always_present(self):
         rng = random.Random(17)
         for _ in range(10):
             K = random_complex(rng, rng.randint(2, 6))
-            assert hh_ranks(K).entries.get((0, 0), 0) >= 1
+            assert hh_ranks(CohomologyEngine(K)).entries.get((0, 0), 0) >= 1
 
 
 class TestRowProperties:
@@ -119,7 +136,7 @@ class TestRowProperties:
             K = random_complex(rng, rng.randint(3, 6))
             eng = CohomologyEngine(K)
             for p in range(-1, K.dim() + 1):
-                row = assemble_row(K, p, eng)
+                row = assemble_row(eng, p)
                 for l, mat in row.matrices.items():
                     nxt = row.matrices.get(l + 1)
                     if nxt:
@@ -132,7 +149,7 @@ class TestRowProperties:
             K = random_complex(rng, rng.randint(3, 6))
             eng = CohomologyEngine(K)
             for p in range(-1, K.dim() + 1):
-                row = assemble_row(K, p, eng)
+                row = assemble_row(eng, p)
                 lhs = sum((-1) ** l * d for l, d in row.dims.items())
                 rhs = sum((-1) ** l * r for l, r in row.cohomology_ranks().items())
                 assert lhs == rhs
@@ -140,19 +157,19 @@ class TestRowProperties:
     def test_join_convolution_small(self, square):
         tp = M.two_points()
         assert (
-            hh_ranks(M.join(square, tp)).entries
-            == hh_ranks(square).convolve(hh_ranks(tp)).entries
+            hh_ranks(CohomologyEngine(M.join(square, tp))).entries
+            == hh_ranks(CohomologyEngine(square)).convolve(hh_ranks(CohomologyEngine(tp))).entries
         )
 
     def test_wedge_table(self, square):
         w = M.wedge(square, 1, square, 1)
-        assert hh_ranks(w).entries == {(0, 0): 1, (-1, 4): 1}
+        assert hh_ranks(CohomologyEngine(w)).entries == {(0, 0): 1, (-1, 4): 1}
 
     def test_relabel_invariance_small(self):
         rng = random.Random(31)
         for _ in range(8):
             K = random_complex(rng, rng.randint(3, 6))
-            base = hh_ranks(K).entries
+            base = hh_ranks(CohomologyEngine(K)).entries
             for _ in range(3):
                 P = permute_complex(K, random_permutation(rng, K.m))
-                assert hh_ranks(P).entries == base
+                assert hh_ranks(CohomologyEngine(P)).entries == base

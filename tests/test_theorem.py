@@ -32,7 +32,7 @@ def admissible_pair(rng, inner_m=4):
 
 class TestCheckTheorem1:
     def test_square_diagonal(self, square):
-        rep = check_theorem1(square, mask([1, 3], 4))
+        rep = check_theorem1(CohomologyEngine(square), mask([1, 3], 4))
         assert rep.applicable
         assert rep.conditions == (True, True, True, True)
         assert rep.n == 1
@@ -40,31 +40,31 @@ class TestCheckTheorem1:
         assert rep.predicted_delta == -2
 
     def test_case_two_no_witness(self, case2_complex):
-        rep = check_theorem1(case2_complex, mask([1, 2], 4))
+        rep = check_theorem1(CohomologyEngine(case2_complex), mask([1, 2], 4))
         assert rep.applicable
         assert rep.witnessing_J is None
         assert rep.predicted_delta == 0
 
     def test_face_already_present(self, square):
-        rep = check_theorem1(square, mask([1, 2], 4))
+        rep = check_theorem1(CohomologyEngine(square), mask([1, 2], 4))
         assert not rep.conditions[0]
         assert not rep.applicable
 
     def test_boundary_missing(self, square):
-        rep = check_theorem1(square, mask([1, 2, 3], 4))
+        rep = check_theorem1(CohomologyEngine(square), mask([1, 2, 3], 4))
         assert not rep.conditions[1]
         assert not rep.applicable
 
     def test_bad_sigma(self, square):
         with pytest.raises(BadSigma):
-            check_theorem1(square, mask([2], 4))
+            check_theorem1(CohomologyEngine(square), mask([2], 4))
         with pytest.raises(BadSigma):
-            check_theorem1(square, 0)
+            check_theorem1(CohomologyEngine(square), 0)
 
     def test_too_few_outside_vertices(self):
         # need at least two vertices outside sigma
         pts = M.two_points()
-        rep = check_theorem1(pts, mask([1, 2], 2))
+        rep = check_theorem1(CohomologyEngine(pts), mask([1, 2], 2))
         assert not rep.applicable
 
     def test_prediction_is_label_invariant(self):
@@ -81,11 +81,11 @@ class TestCheckTheorem1:
             if not candidates:
                 continue
             sigma = rng.choice(candidates)
-            base = check_theorem1(K, sigma)
+            base = check_theorem1(CohomologyEngine(K), sigma)
             perm = random_permutation(rng, K.m)
             P = permute_complex(K, perm)
             sp = masks.mask_of((perm[v] for v in masks.vertices(sigma)), K.m)
-            moved = check_theorem1(P, sp)
+            moved = check_theorem1(CohomologyEngine(P), sp)
             assert moved.applicable == base.applicable
             assert moved.predicted_delta == base.predicted_delta
 
