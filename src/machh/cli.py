@@ -116,14 +116,17 @@ def _build_parser() -> argparse.ArgumentParser:
             )
 
     p_hh = sub.add_parser("hh", help="bigraded double cohomology ranks of a complex file")
+    p_hh.set_defaults(run=functools.partial(_cmd_ranks, want_hh=True))
     p_hh.add_argument("input")
     flags(p_hh, compute=True, fmt=True, verify=True)
 
     p_h = sub.add_parser("h", help="bigraded ordinary cohomology ranks of a complex file")
+    p_h.set_defaults(run=functools.partial(_cmd_ranks, want_hh=False))
     p_h.add_argument("input")
     flags(p_h, compute=True, fmt=True)
 
     p_con = sub.add_parser("construct", help="build complexes and write them as JSON")
+    p_con.set_defaults(run=_cmd_construct)
     con_sub = p_con.add_subparsers(dest="kind", required=True)
     p_k2r = con_sub.add_parser("k2r", help="member of the even-rank family")
     p_k2r.add_argument("--r", type=int, required=True)
@@ -144,15 +147,18 @@ def _build_parser() -> argparse.ArgumentParser:
     flags(p_glue)
 
     p_chk = sub.add_parser("check-thm1", help="verify the simplex-gluing rank theorem")
+    p_chk.set_defaults(run=_cmd_check_thm1)
     p_chk.add_argument("input")
     p_chk.add_argument("sigma", help="comma-separated vertices of the glued simplex")
     flags(p_chk, compute=True)
 
     p_lad = sub.add_parser("ladder", help="even-rank family: computed vs expected totals")
+    p_lad.set_defaults(run=_cmd_ladder)
     p_lad.add_argument("--r-max", type=int, required=True)
     flags(p_lad, compute=True, fmt=True)
 
     p_orc = sub.add_parser("oracle", help=argparse.SUPPRESS)
+    p_orc.set_defaults(run=_cmd_oracle)
     p_orc.add_argument("input")
     flags(p_orc)
 
@@ -278,17 +284,7 @@ def _run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "hh":
-        return _cmd_ranks(args, want_hh=True)
-    if args.command == "h":
-        return _cmd_ranks(args, want_hh=False)
-    if args.command == "construct":
-        return _cmd_construct(args)
-    if args.command == "check-thm1":
-        return _cmd_check_thm1(args)
-    if args.command == "ladder":
-        return _cmd_ladder(args)
-    return _cmd_oracle(args)
+    return args.run(args)
 
 
 def main(argv=None) -> int:

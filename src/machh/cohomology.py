@@ -7,7 +7,9 @@ projection followed by reduction into the target basis.
 No elimination runs whose result is already fixed:
 
 - A cone K_I has H̃* = 0, so ``CohomologyEngine.rank`` answers 0 for it
-  without building a ``SubsetCohomology``.
+  without building a ``SubsetCohomology``. K_I is a cone on v ∈ I exactly
+  when no minimal non-face N of K with v ∈ N lies inside I, so the non-cones
+  are the unions of minimal non-faces; the engine lists them once.
 - Clearing (the "twist" of Chen–Kerber, EuroCG 2011). ``delta_reducer(p)``
   leaves out the boundary row of every (p+1)-simplex t that is a pivot of
   ``delta_reducer(p+1)``. That reducer's row with pivot t is a boundary,
@@ -203,30 +205,27 @@ class SubsetCohomology:
         return basis
 
 
-def _minimal_blockers(K: SimplicialComplex) -> dict[int, tuple[int, ...]]:
-    """For each vertex bit v, the minimal faces f ∌ v of K with f ∪ v ∉ K.
+def _minimal_non_faces(K: SimplicialComplex) -> tuple[int, ...]:
+    """The masks N ∉ K whose every N minus one vertex is a face, increasing.
 
-    Such faces are closed upwards within K, so f is minimal when no face
-    f minus one vertex is one of them. K_I is a cone on v ∈ I exactly when
-    none of v's minimal blockers lies inside I.
+    Each is a face plus one vertex, so only those are tried.
     """
     faces = K.faces
-    out = {}
-    for i in range(K.m):
-        v = 1 << i
-        bad = {f for f in faces if not f & v and f | v not in faces}
-        minimal = []
-        for f in bad:
-            rest = f
+    found = set()
+    for f in faces:
+        for i in range(K.m):
+            N = f | 1 << i
+            if N in faces or N in found:
+                continue
+            rest = N
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if f ^ low in bad:
+                if N ^ low not in faces:
                     break
             else:
-                minimal.append(f)
-        out[v] = tuple(sorted(minimal))
-    return out
+                found.add(N)
+    return tuple(sorted(found))
 
 
 class CohomologyEngine:
@@ -245,8 +244,10 @@ class CohomologyEngine:
         self.K = K
         self.field = field
         self._cache: dict[int, SubsetCohomology] = {}
-        self._cones: set[int] = set()
-        self._blockers = _minimal_blockers(K)
+        non_cones = {0}
+        for N in _minimal_non_faces(K):
+            non_cones |= {I | N for I in non_cones}
+        self._non_cones = non_cones
         self._betti_table: dict[int, dict[int, int]] | None = None
 
     def subset(self, I: int) -> SubsetCohomology:
@@ -257,37 +258,22 @@ class CohomologyEngine:
         return sc
 
     def is_cone(self, I: int) -> bool:
-        """K_I is a cone on some vertex of I, so H̃*(K_I) = 0 (remembered)."""
-        if I in self._cones:
-            return True
-        rest = I
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if all(b & ~I for b in self._blockers[low]):
-                self._cones.add(I)
-                return True
-        return False
+        """K_I is a cone on some vertex of I, so H̃*(K_I) = 0: I is not a
+        union of minimal non-faces of K (module docstring)."""
+        return I not in self._non_cones
 
     def rank(self, I: int, p: int) -> int:
-        sc = self._cache.get(I)
-        if sc is None:
-            if self.is_cone(I):
-                return 0
-            sc = self.subset(I)
-        return sc.betti(p)
+        return 0 if self.is_cone(I) else self.subset(I).betti(p)
 
     def betti_table(self) -> dict[int, dict[int, int]]:
         """The nonzero reduced Betti numbers ``{I: {p: b}}``, I increasing.
 
-        Computed once per engine over the non-cone subsets; a cone or an
-        acyclic K_I has no entry.
+        Computed once per engine over the unions of minimal non-faces, the
+        only subsets that are not cones; a cone or an acyclic K_I has no entry.
         """
         if self._betti_table is None:
             table = {}
-            for I in range(1 << self.K.m):
-                if self.is_cone(I):
-                    continue
+            for I in sorted(self._non_cones):
                 sc = self.subset(I)
                 bettis = {}
                 for p in range(-1, sc.max_p + 1):
@@ -305,13 +291,13 @@ class CohomologyEngine:
         This engine's K must be ``before.K`` with the simplex sigma glued in:
         K_I is then the same complex for every I that misses a vertex of
         sigma. Call it before this engine builds a subset, so the subsets of
-        the two engines are not held twice.
+        the two engines are not held twice. Any other pair of engines is a
+        caller bug and raises ``InternalInconsistency``.
         """
         if self.field != before.field or self.K.faces != before.K.faces | {sigma}:
-            raise ValueError("this engine's complex is not the other's with sigma glued")
+            raise InternalInconsistency("this engine's complex is not the other's with sigma glued")
         for I in [I for I in before._cache if sigma & ~I]:
             self._cache[I] = before._cache.pop(I)
-        self._cones.update(I for I in before._cones if sigma & ~I)
 
     def psi(self, I: int, i: int, p: int) -> list[list]:
         """Matrix of the restriction H̃^p(K_I) -> H̃^p(K_{I\\{i}}) in the stored bases."""

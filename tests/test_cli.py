@@ -232,6 +232,13 @@ class TestExitCodes:
         monkeypatch.setattr("machh.cli.h_ranks", fail)
         assert run_main(capsys, "h", square_file) == (code, "", f"{type(exc).__name__}: broken\n")
 
+    def test_inherit_from_an_unrelated_engine_is_a_bug(self, capsys, square_file, monkeypatch):
+        # a glued complex equal to K cannot take over K's subsets: exit 5, not an input error
+        monkeypatch.setattr("machh.theorem.glue_simplex", lambda K, sigma: K)
+        code, out, err = run_main(capsys, "check-thm1", square_file, "1,3")
+        assert (code, out) == (5, "")
+        assert err.startswith("InternalInconsistency: ") and err.count("\n") == 1, err
+
     def test_resource_limit(self, capsys, square_file):
         code, _, err = run_main(capsys, "hh", square_file, "--max-m", "3")
         assert code == 3 and "ResourceLimit" in err

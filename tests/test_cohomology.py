@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import machh as M
 from machh import masks
-from machh.cohomology import CohomologyEngine, SubsetCohomology
+from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces
 from machh.double import assemble_row
 from machh.errors import InternalInconsistency
 from machh.fields import prime_field
@@ -221,6 +221,27 @@ class TestSkippedWork:
             if eng.is_cone(I):
                 assert not any(betti), (K, I)
                 assert I not in eng._cache  # a cone is never built for a rank
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(max_m=7), FIELDS)
+    def test_non_cones_are_the_unions_of_minimal_non_faces(self, K, field):
+        everything = range(1 << K.m)
+        scanned = [
+            N
+            for N in everything
+            if N not in K.faces and all(N & ~masks.bit(v) in K.faces for v in masks.vertices(N))
+        ]
+        assert _minimal_non_faces(K) == tuple(scanned), K
+        eng = CohomologyEngine(K, field)
+        for I in everything:
+            inside = [f for f in K.faces if not f & ~I]
+            apex = any(
+                all(f | masks.bit(v) in K.faces for f in inside) for v in masks.vertices(I)
+            )
+            assert eng.is_cone(I) == apex, (K, I)
+        table = list(eng.betti_table())
+        assert table == sorted(set(table)), K
+        assert not any(eng.is_cone(I) for I in table), K
 
     @settings(max_examples=60, deadline=None)
     @given(complexes(max_m=7), FIELDS)

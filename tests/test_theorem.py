@@ -5,7 +5,7 @@ import pytest
 import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine
-from machh.errors import BadSigma, NotApplicable
+from machh.errors import BadSigma, InternalInconsistency, NotApplicable
 from machh.theorem import check_theorem1, verify_theorem1
 
 from conftest import permute_complex, random_complex, random_permutation
@@ -150,7 +150,7 @@ class TestVerifyTheorem1:
                 assert subsets and all(sigma & ~I for I in subsets), (K, sigma)
 
     def test_inherit_refuses_an_unrelated_engine(self, square, square_diag):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalInconsistency):
             CohomologyEngine(square).inherit(CohomologyEngine(square_diag), mask([1, 3], 4))
 
 
