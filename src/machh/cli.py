@@ -241,12 +241,12 @@ def _cmd_ladder(args) -> int:
     field, max_m = _field_and_cap(args)
     if args.r_max < 1:
         raise ParseError("--r-max must be >= 1")
+    m = k2r_vertex_count(args.r_max)  # non-decreasing in r, so the last member is the largest
+    if m > max_m:
+        raise ResourceLimit(f"family member r={args.r_max} needs m={m} > --max-m {max_m}")
     rows = []
     all_pass = True
     for r in range(1, args.r_max + 1):
-        m = k2r_vertex_count(r)
-        if m > max_m:
-            raise ResourceLimit(f"family member r={r} needs m={m} > --max-m {max_m}")
         K = k2r_family(r).complex
         rank = hh_ranks(CohomologyEngine(K, field, max_m)).total()
         ok = rank == 2 * r

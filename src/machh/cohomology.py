@@ -236,6 +236,12 @@ class CohomologyEngine:
     K_I is never built for a rank. The engine is the only place a request
     names its complex, field and vertex cap: a K with more than ``max_m``
     vertices raises ``ResourceLimit`` before any work.
+
+    ``factors`` are the vertex sets V of K's join factors, as masks,
+    increasing: the minimal non-faces merged wherever they share a vertex.
+    Every minimal non-face lies in one V, so K is the join of its K_V and of
+    the simplex on the cone points, the vertices in no minimal non-face. A
+    simplex has no factors.
     """
 
     def __init__(self, K: SimplicialComplex, field: Field = RATIONALS, max_m: int = DEFAULT_MAX_M):
@@ -245,10 +251,16 @@ class CohomologyEngine:
         self.field = field
         self._cache: dict[int, SubsetCohomology] = {}
         non_cones = {0}
+        factors = []
         for N in _minimal_non_faces(K):
             non_cones |= {I | N for I in non_cones}
+            for V in [V for V in factors if V & N]:
+                factors.remove(V)
+                N |= V
+            factors.append(N)
         self._non_cones = non_cones
-        self._betti_table: dict[int, dict[int, int]] | None = None
+        self.factors = tuple(sorted(factors))
+        self._betti_tables: dict[int, dict[int, dict[int, int]]] = {}
 
     def subset(self, I: int) -> SubsetCohomology:
         sc = self._cache.get(I)
@@ -265,15 +277,20 @@ class CohomologyEngine:
     def rank(self, I: int, p: int) -> int:
         return 0 if self.is_cone(I) else self.subset(I).betti(p)
 
-    def betti_table(self) -> dict[int, dict[int, int]]:
-        """The nonzero reduced Betti numbers ``{I: {p: b}}``, I increasing.
+    def betti_table(self, V: int | None = None) -> dict[int, dict[int, int]]:
+        """The nonzero reduced Betti numbers ``{I: {p: b}}`` over the subsets
+        I of V (every vertex by default), I increasing.
 
-        Computed once per engine over the unions of minimal non-faces, the
-        only subsets that are not cones; a cone or an acyclic K_I has no entry.
+        Computed once per engine and V over the unions of minimal non-faces,
+        the only subsets that are not cones; a cone or an acyclic K_I has no
+        entry.
         """
-        if self._betti_table is None:
+        if V is None:
+            V = masks.full_mask(self.K.m)
+        table = self._betti_tables.get(V)
+        if table is None:
             table = {}
-            for I in sorted(self._non_cones):
+            for I in sorted(I for I in self._non_cones if not I & ~V):
                 sc = self.subset(I)
                 bettis = {}
                 for p in range(-1, sc.max_p + 1):
@@ -282,8 +299,8 @@ class CohomologyEngine:
                         bettis[p] = b
                 if bettis:
                     table[I] = bettis
-            self._betti_table = table
-        return self._betti_table
+            self._betti_tables[V] = table
+        return table
 
     def inherit(self, before: "CohomologyEngine", sigma: int) -> None:
         """Move ``before``'s subsets I with sigma ⊄ I into this engine.

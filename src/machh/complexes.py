@@ -175,9 +175,11 @@ def k2r_vertex_count(r: int) -> int:
     """Ground-set size m of ``k2r_family(r)``, by its recursion, building nothing."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if r <= 2:
-        return 4
-    return k2r_vertex_count((r + 1) // 2) + 2  # (r + 1) // 2 == r // 2 for even r
+    m = 4
+    while r > 2:
+        r = (r + 1) // 2  # (r + 1) // 2 == r // 2 for even r
+        m += 2
+    return m
 
 
 def k2r_family(r: int) -> K2rComplex:

@@ -3,6 +3,18 @@
 Bidegree bookkeeping: the summand H̃^p(K_I) with |I| = l sits in bidegree
 (-k, 2l) with k = l - p - 1, so the "row" of cohomological degree p collects
 all subsets graded by cardinality.
+
+Join factorisation. If every minimal non-face of K lies in V or in W, then
+K = K_V * K_W and Z_K = Z_{K_V} x Z_{K_W}. Over a field, H*(Z_K) is then the
+tensor product of the factors' groups (Künneth), and so is HH*(Z_K)
+(Limonchenko-Panov-Song-Stanley 2023), with bidegrees adding. So ``h_ranks``
+and ``hh_ranks`` convolve one table per factor V of ``engine.factors``; the
+cone points form a simplex, whose table is the unit {(0, 0): 1}. A factor's
+table is built from K's own subsets I ⊆ V with their ambient labels: K_I is
+the factor's full subcomplex on I, and epsilon(i, I) counts the elements of I
+below i, the same count as after relabelling V onto [|V|] in order. So the
+row complex on the subsets of V is exactly the factor's, and no subset that
+meets two factors is built.
 """
 
 from __future__ import annotations
@@ -84,24 +96,28 @@ class RowComplex:
 
 def h_ranks(engine: CohomologyEngine) -> BigradedRankTable:
     """Bigraded ranks of H*(Z_K) by summing H̃^{l-k-1}(K_I) over |I| = l,
-    for the engine's complex K over its field.
+    for the engine's complex K over its field, one join factor at a time.
 
     The engine keeps its subsets for later calls, such as ``hh_ranks``.
     """
-    entries: dict = {}
-    for I, bettis in engine.betti_table().items():
-        l = masks.card(I)
-        for p, b in bettis.items():
-            key = (-(l - p - 1), 2 * l)
-            entries[key] = entries.get(key, 0) + b
-    return BigradedRankTable(entries)
+    table = BigradedRankTable({(0, 0): 1})
+    for V in engine.factors:
+        entries: dict = {}
+        for I, bettis in engine.betti_table(V).items():
+            l = masks.card(I)
+            for p, b in bettis.items():
+                key = (-(l - p - 1), 2 * l)
+                entries[key] = entries.get(key, 0) + b
+        table = table.convolve(BigradedRankTable(entries))
+    return table
 
 
-def assemble_row(engine: CohomologyEngine, p: int) -> RowComplex:
+def assemble_row(engine: CohomologyEngine, p: int, V: int | None = None) -> RowComplex:
     """Groups and block differentials of the degree-p row of the engine's
-    complex, with the sign (-1)**(p+1) * epsilon(i, I) on the block (I, I\\{i})."""
+    complex on the subsets of V (every vertex by default), with the sign
+    (-1)**(p+1) * epsilon(i, I) on the block (I, I\\{i})."""
     groups: dict[int, list] = {}
-    for I, bettis in engine.betti_table().items():
+    for I, bettis in engine.betti_table(V).items():
         b = bettis.get(p)
         if b:
             groups.setdefault(masks.card(I), []).append((I, b))
@@ -142,10 +158,14 @@ def assemble_row(engine: CohomologyEngine, p: int) -> RowComplex:
 
 def hh_ranks(engine: CohomologyEngine) -> BigradedRankTable:
     """Bigraded double cohomology ranks: cohomology of every row of (H*(Z_K), d'),
-    for the engine's complex K over its field."""
-    entries: dict = {}
-    for p in range(-1, engine.K.dim() + 1):
-        row = assemble_row(engine, p)
-        for l, r in row.cohomology_ranks().items():
-            entries[(-(l - p - 1), 2 * l)] = r
-    return BigradedRankTable(entries)
+    for the engine's complex K over its field, one join factor at a time."""
+    table = BigradedRankTable({(0, 0): 1})
+    top = engine.K.dim()  # a scan of every face, so once, not per factor
+    for V in engine.factors:
+        entries: dict = {}
+        for p in range(-1, top + 1):
+            row = assemble_row(engine, p, V)
+            for l, r in row.cohomology_ranks().items():
+                entries[(-(l - p - 1), 2 * l)] = r
+        table = table.convolve(BigradedRankTable(entries))
+    return table

@@ -66,6 +66,68 @@ def complexes(draw, min_m: int = 2, max_m: int = 6):
     return M.SimplicialComplex.from_facets(m, facets)
 
 
+@st.composite
+def relabelled_joins(draw, max_m: int = 8):
+    """The join of 2-3 drawn complexes, none a simplex, and of 0-2 cone
+    points, relabelled."""
+    cones = draw(st.integers(0, 2))
+    K = simplex(cones - 1) if cones else None
+    count = draw(st.integers(2, min(3, (max_m - cones) // 2)))
+    budget = max_m - cones
+    for left in range(count - 1, -1, -1):
+        drawn = complexes(2, min(6, budget - 2 * left))
+        L = draw(drawn.filter(lambda L: M.masks.full_mask(L.m) not in L.faces))
+        budget -= L.m
+        K = L if K is None else M.join(K, L)
+    perm = draw(st.permutations(range(1, K.m + 1)))
+    return permute_complex(K, {v: perm[v - 1] for v in range(1, K.m + 1)})
+
+
+def brute_force_factors(K: M.SimplicialComplex) -> tuple[int, ...]:
+    """K's join factors from a scan of every vertex mask.
+
+    V splits K when every face is a face on V joined with a face off V; as
+    f -> (f ∩ V, f \\ V) is one-to-one, that is |K_V| * |K_{[m] minus V}| = |K|.
+    A factor is the least splitting mask around a vertex, unless it is a
+    face (a cone point).
+    """
+    full = M.masks.full_mask(K.m)
+
+    def size(V):
+        return sum(1 for f in K.faces if not f & ~V)
+
+    splits = [V for V in range(1, full + 1) if size(V) * size(full ^ V) == len(K.faces)]
+    least = set()
+    for v in range(K.m):
+        atom = full
+        for V in splits:
+            if V >> v & 1:
+                atom &= V
+        least.add(atom)
+    return tuple(sorted(V for V in least if V not in K.faces))
+
+
+def unfactored_h_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
+    """H*(Z_K) summed over every non-cone subset, with no join factorisation."""
+    entries: dict = {}
+    for I, bettis in engine.betti_table().items():
+        l = M.masks.card(I)
+        for p, b in bettis.items():
+            key = (-(l - p - 1), 2 * l)
+            entries[key] = entries.get(key, 0) + b
+    return M.BigradedRankTable(entries)
+
+
+def unfactored_hh_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
+    """HH*(Z_K) from rows assembled over the whole vertex set, with no join
+    factorisation."""
+    entries: dict = {}
+    for p in range(-1, engine.K.dim() + 1):
+        for l, r in M.assemble_row(engine, p).cohomology_ranks().items():
+            entries[(-(l - p - 1), 2 * l)] = r
+    return M.BigradedRankTable(entries)
+
+
 @pytest.fixture(scope="session")
 def square() -> M.SimplicialComplex:
     return M.square()

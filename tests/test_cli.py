@@ -312,6 +312,16 @@ class TestExitCodes:
             code, _, err = run_main(capsys, *argv, "--max-m", "10")
             assert code == 3 and "ResourceLimit" in err, (argv, err)
 
+    def test_ladder_cap_before_any_member(self, capsys, monkeypatch):
+        # r = 1000 needs m = 22 > 10: refused before r = 1..16 are computed
+        def refuse(r):
+            raise AssertionError("a family member was built before the --max-m check")
+
+        monkeypatch.setattr("machh.cli.k2r_family", refuse)
+        code, out, err = run_main(capsys, "ladder", "--r-max", "1000", "--max-m", "10")
+        assert (code, out) == (3, "")
+        assert err == "ResourceLimit: family member r=1000 needs m=22 > --max-m 10\n"
+
     def test_construct_vertex_cap(self, capsys, tmp_path):
         points = M.SimplicialComplex.from_facets(20, [[v] for v in range(1, 21)])
         a = write_complex(tmp_path / "points.json", points)
@@ -325,6 +335,8 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["points.json"]
         start = time.perf_counter()
         code, _, err = run_main(capsys, "construct", "k2r", "--r", "32768")  # m = 32
+        assert code == 3 and "ResourceLimit" in err
+        code, _, err = run_main(capsys, "construct", "k2r", "--r", str(10**400))  # m = 2660
         assert code == 3 and "ResourceLimit" in err
         assert time.perf_counter() - start < 1.0
 

@@ -151,6 +151,14 @@ class TestK2rFamily:
         with pytest.raises(ValueError):
             M.k2r_family(0)
 
+    def test_vertex_count_builds_nothing(self):
+        from machh.complexes import k2r_vertex_count
+
+        counts = [k2r_vertex_count(r) for r in range(1, 34)]
+        assert counts == [M.k2r_family(r).complex.m for r in range(1, 34)]
+        assert counts == sorted(counts)  # non-decreasing, so r_max bounds a ladder
+        assert k2r_vertex_count(2**5000) == 4 + 2 * 4999  # no recursion on a huge r
+
 
 class TestClosureInvariants:
     @given(complexes())
