@@ -142,7 +142,8 @@ class SubsetCohomology:
     def delta_reducer(self, p: int) -> SparseReducer:
         """Echelon form of delta_p, rows indexed by the (p+1)-simplices.
 
-        The row of t has (-1)**i at t minus its i-th smallest vertex. Rows of
+        The row of t has (-1)**i at t minus its i-th smallest vertex, times
+        (-1)**(p+1) so that its leading entry is +1. Rows of
         the pivots of ``delta_reducer(p+1)`` are cleared (module docstring).
         """
         red = self._delta.get(p)
@@ -154,7 +155,9 @@ class SubsetCohomology:
                 if t in cleared:
                     continue
                 row = {}
-                sign, other = 1, minus_one
+                # the leading column is t minus its largest vertex, with sign
+                # (-1)**(p+1); start at -1 for even p so that it is +1
+                sign, other = (minus_one, 1) if p % 2 == 0 else (1, minus_one)
                 rest = t
                 while rest:
                     low = rest & -rest
@@ -275,7 +278,16 @@ class CohomologyEngine:
         return I not in self._non_cones
 
     def rank(self, I: int, p: int) -> int:
-        return 0 if self.is_cone(I) else self.subset(I).betti(p)
+        """dim H̃^p(K_I), with no build for a cone K_I. An I that meets several
+        factors has K_I = K_A * K_B for A = I ∩ V of its first factor V, and
+        Künneth gives b_p(K_A * K_B) = Σ_{i+j=p-1} b_i(K_A) b_j(K_B)."""
+        if self.is_cone(I):
+            return 0
+        A = next((I & V for V in self.factors if I & V), I)
+        if A == I:
+            return self.subset(I).betti(p)
+        B = I ^ A  # A and B are not empty, so b_{-1} of either is 0
+        return sum(self.rank(A, i) * self.rank(B, p - 1 - i) for i in range(p))
 
     def betti_table(self, V: int | None = None) -> dict[int, dict[int, int]]:
         """The nonzero reduced Betti numbers ``{I: {p: b}}`` over the subsets

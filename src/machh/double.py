@@ -15,11 +15,23 @@ the factor's full subcomplex on I, and epsilon(i, I) counts the elements of I
 below i, the same count as after relabelling V onto [|V|] in order. So the
 row complex on the subsets of V is exactly the factor's, and no subset that
 meets two factors is built.
+
+Clearing (the "twist" of Chen-Kerber, EuroCG 2011, as in ``cohomology.py``).
+Let M_l be the differential from level l to level l - 1 of a row, so
+M_{l-1} M_l = 0, and the rows of M_l are indexed by the level-(l-1) basis,
+the columns of M_{l-1}. An echelon row r of M_{l-1} with leading column q
+satisfies r M_l = 0, so row q of M_l lies in the span of the rows after it.
+By downward induction over the pivots, the rows of M_l whose index is not a
+pivot of M_{l-1} span its whole row space. ``RowComplex.cohomology_ranks``
+therefore ranks the levels upwards, leaves those pivot rows out, and calls no
+``psi`` for a target whose rows are all left out. A cleared M_{l-1} has the
+row space, hence the pivots, of the full one, so the ranks are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import masks
 from .cohomology import CohomologyEngine
@@ -69,23 +81,73 @@ class BigradedRankTable:
 class RowComplex:
     """One row (fixed degree p) of the cochain complex on H*(Z_K).
 
-    ``groups[l]`` lists (subset mask, rank) with |I| = l and positive rank;
-    ``matrices[l]`` is the block differential from cardinality l to l - 1,
-    with entries in ``field``.
+    ``groups[l]`` lists (subset mask, rank) with |I| = l and positive rank,
+    and ``dims[l]`` is their total. The block differential from cardinality l
+    to l - 1 has its rows indexed by the level-(l-1) basis and its columns by
+    the level-l basis, with entries in the engine's field. ``cohomology_ranks``
+    builds only the rows that clearing keeps (module docstring); ``matrices``
+    holds every block in full, as a reference view that no request reads.
     """
 
     p: int
     groups: dict
     dims: dict
-    matrices: dict
-    field: Field
+    engine: CohomologyEngine
 
-    def differential_rank(self, l: int) -> int:
-        mat = self.matrices.get(l)
-        return dense_rank(mat, self.field.p) if mat else 0
+    @property
+    def field(self) -> Field:
+        return self.engine.field
+
+    @cached_property
+    def matrices(self) -> dict:
+        """``{l: block differential from l to l - 1}`` as dense lists of lists."""
+        return {l: self._block(l) for l in self.groups if l - 1 in self.groups}
+
+    def _block(self, l: int, cleared=frozenset()) -> list[list]:
+        """The rows of the differential from l to l - 1 whose index is not in
+        ``cleared``, with the sign (-1)**(p+1) * epsilon(i, I) on the block
+        (I, I\\{i}). A target J whose rows are all cleared costs no ``psi``."""
+        ncols = self.dims[l]
+        mat = []
+        rows_of = {}
+        pos = 0
+        for J, b in self.groups[l - 1]:
+            rows = [None if r in cleared else [0] * ncols for r in range(pos, pos + b)]
+            kept = [row for row in rows if row is not None]
+            if kept:
+                rows_of[J] = rows
+                mat.extend(kept)
+            pos += b
+        engine, p = self.engine, self.p
+        char = engine.field.p
+        col = 0
+        for I, b in self.groups[l]:
+            for i in masks.vertices(I):
+                rows = rows_of.get(I & ~masks.bit(i))
+                if rows is None:
+                    continue
+                positive = masks.sign_epsilon(i, I) * (-1) ** (p + 1) == 1
+                for row, values in zip(rows, engine.psi(I, i, p)):
+                    if row is None:
+                        continue
+                    for c, v in enumerate(values):
+                        if v:
+                            # char - v is -v over Q (char 0) and over GF(char)
+                            row[col + c] = v if positive else char - v
+            col += b
+        return mat
 
     def cohomology_ranks(self) -> dict:
-        ranks = {l: self.differential_rank(l) for l in self.matrices}
+        """``{l: rank}`` of the row's cohomology, from the levels l upwards,
+        each ranked on the rows that the level below leaves uncleared."""
+        ranks = {}
+        cleared: set = set()
+        for l in sorted(self.groups):
+            pivots: set = set()
+            if l - 1 in self.groups:
+                mat = self._block(l, cleared)
+                ranks[l] = dense_rank(mat, self.field.p, pivots) if mat else 0
+            cleared = pivots
         out = {}
         for l, dim in self.dims.items():
             r = dim - ranks.get(l, 0) - ranks.get(l + 1, 0)
@@ -113,9 +175,8 @@ def h_ranks(engine: CohomologyEngine) -> BigradedRankTable:
 
 
 def assemble_row(engine: CohomologyEngine, p: int, V: int | None = None) -> RowComplex:
-    """Groups and block differentials of the degree-p row of the engine's
-    complex on the subsets of V (every vertex by default), with the sign
-    (-1)**(p+1) * epsilon(i, I) on the block (I, I\\{i})."""
+    """The degree-p row of the engine's complex on the subsets of V (every
+    vertex by default): its groups and dimensions. No block is built here."""
     groups: dict[int, list] = {}
     for I, bettis in engine.betti_table(V).items():
         b = bettis.get(p)
@@ -124,36 +185,7 @@ def assemble_row(engine: CohomologyEngine, p: int, V: int | None = None) -> RowC
     for l in groups:
         groups[l].sort(key=lambda ib: masks.sort_key(ib[0]))
     dims = {l: sum(b for _, b in g) for l, g in groups.items()}
-    char = engine.field.p
-    matrices: dict[int, list] = {}
-    for l, sources in groups.items():
-        targets = groups.get(l - 1)
-        if not targets:
-            continue
-        row_offset = {}
-        pos = 0
-        for J, b in targets:
-            row_offset[J] = pos
-            pos += b
-        nrows, ncols = pos, dims[l]
-        mat = [[0] * ncols for _ in range(nrows)]
-        col = 0
-        for I, b in sources:
-            for i in masks.vertices(I):
-                J = I & ~masks.bit(i)
-                if J not in row_offset:
-                    continue
-                positive = masks.sign_epsilon(i, I) * (-1) ** (p + 1) == 1
-                block = engine.psi(I, i, p)
-                r0 = row_offset[J]
-                for r, row in enumerate(block):
-                    for c, v in enumerate(row):
-                        if v:
-                            # char - v is -v over Q (char 0) and over GF(char)
-                            mat[r0 + r][col + c] = v if positive else char - v
-            col += b
-        matrices[l] = mat
-    return RowComplex(p=p, groups=groups, dims=dims, matrices=matrices, field=engine.field)
+    return RowComplex(p=p, groups=groups, dims=dims, engine=engine)
 
 
 def hh_ranks(engine: CohomologyEngine) -> BigradedRankTable:

@@ -182,9 +182,14 @@ def kernel_basis(reducer: SparseReducer, columns: Sequence) -> list[dict]:
     return basis
 
 
-def dense_rank(mat: Sequence[Sequence], p: int) -> int:
-    """Rank of a dense matrix: its rows' nonzero entries go through a SparseReducer."""
+def dense_rank(mat: Sequence[Sequence], p: int, pivots: set | None = None) -> int:
+    """Rank of a dense matrix: its rows' nonzero entries go through a SparseReducer.
+
+    The column indices of the echelon pivots are added to ``pivots`` if given.
+    """
     red = SparseReducer(range(len(mat[0]) if mat else 0), p)
     for row in mat:
         red.add({j: x for j, x in enumerate(row) if x})
+    if pivots is not None:
+        pivots.update(red.rows)
     return red.rank

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import machh as M
+from machh.oracle import _matrix_rank
 
 
 def subprocess_env(**extra) -> dict:
@@ -118,12 +119,33 @@ def unfactored_h_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
     return M.BigradedRankTable(entries)
 
 
+def reference_rank(mat: list[list], char: int) -> int:
+    """Rank of a dense matrix over Q (char 0) by the oracle's elimination, or
+    over GF(char) by a textbook one; no ``SparseReducer`` is involved."""
+    if not char:
+        return _matrix_rank([[Fraction(x) for x in row] for row in mat])
+    columns = list(range(len(mat[0]) if mat else 0))
+    return len(textbook_rref([dict(enumerate(row)) for row in mat], columns, char))
+
+
+def uncleared_row_ranks(row: M.RowComplex) -> dict:
+    """A row's cohomology ranks ``{l: rank}`` from its full blocks
+    ``row.matrices``, every one ranked by ``reference_rank``."""
+    ranks = {l: reference_rank(mat, row.field.p) for l, mat in row.matrices.items()}
+    out = {}
+    for l, dim in row.dims.items():
+        r = dim - ranks.get(l, 0) - ranks.get(l + 1, 0)
+        if r:
+            out[l] = r
+    return out
+
+
 def unfactored_hh_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
-    """HH*(Z_K) from rows assembled over the whole vertex set, with no join
-    factorisation."""
+    """HH*(Z_K) from full rows assembled over the whole vertex set, with no
+    join factorisation and no clearing."""
     entries: dict = {}
     for p in range(-1, engine.K.dim() + 1):
-        for l, r in M.assemble_row(engine, p).cohomology_ranks().items():
+        for l, r in uncleared_row_ranks(M.assemble_row(engine, p)).items():
             entries[(-(l - p - 1), 2 * l)] = r
     return M.BigradedRankTable(entries)
 

@@ -17,6 +17,7 @@ from conftest import (
     complexes,
     dense_mul,
     random_complex,
+    relabelled_joins,
     rref_kernel_basis,
     simplex,
     textbook_rref,
@@ -344,3 +345,52 @@ class TestFreeColumnBases:
             if eng.is_cone(I):
                 assert I not in table
         assert list(table) == sorted(table)
+
+
+class TestDeltaRowSigns:
+    """Each row of delta_p enters its reducer with a leading +1, so it needs no
+    sign flip, and the stored rows are those of the textbook signs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_m=7), FIELDS)
+    def test_rows_lead_with_one_and_store_as_before(self, K, field):
+        char = field.p
+        leads = []
+        add = SparseReducer.add
+
+        def spy(red, v, gen=None):
+            leads.append(v[min(v, key=red.order.__getitem__)])
+            return add(red, v, gen)
+
+        for I in range(1 << K.m):
+            sc = SubsetCohomology(K, I, field)
+            SparseReducer.add = spy
+            try:
+                reducers = {p: sc.delta_reducer(p) for p in range(sc.max_p, -2, -1)}
+            finally:
+                SparseReducer.add = add
+            for p, red in reducers.items():
+                cleared = reducers[p + 1].rows if p + 1 in reducers else {}
+                textbook = SparseReducer(sc.orders.get(p, {}), char)
+                for t in sc.simplices.get(p + 1, ()):
+                    if t not in cleared:
+                        textbook.add(boundary_row(t, char))
+                stored = {q: row for q, (row, _) in red.rows.items()}
+                assert stored == {q: row for q, (row, _) in textbook.rows.items()}, (K, I, p)
+        assert leads and set(leads) == {1}, K
+
+
+class TestKunnethRank:
+    """``rank`` of a subset that meets several join factors, from its parts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled_joins(max_m=7), FIELDS)
+    def test_rank_on_joins_equals_a_direct_build(self, K, field):
+        eng = CohomologyEngine(K, field)
+        direct = CohomologyEngine(K, field)
+        for I in range(1 << K.m):
+            for p in range(-1, K.dim() + 1):
+                expected = 0 if direct.is_cone(I) else direct.subset(I).betti(p)
+                assert eng.rank(I, p) == expected, (K, masks.mask_str(I), p)
+        for I in eng._cache:
+            assert any(not I & ~V for V in eng.factors), (K, masks.mask_str(I))

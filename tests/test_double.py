@@ -13,6 +13,7 @@ from machh.oracle import oracle_hh_rows
 
 from conftest import (
     brute_force_factors,
+    complexes,
     dense_is_zero,
     dense_mul,
     permute_complex,
@@ -20,6 +21,8 @@ from conftest import (
     random_permutation,
     relabelled_joins,
     simplex,
+    textbook_rref,
+    uncleared_row_ranks,
     unfactored_h_ranks,
     unfactored_hh_ranks,
 )
@@ -214,3 +217,40 @@ class TestJoinFactorisation:
         cone = M.join(square, simplex(0))  # vertex 5 is a cone point
         assert CohomologyEngine(cone).factors == (0b0101, 0b1010)
         assert hh_ranks(CohomologyEngine(cone)).entries == hh_ranks(CohomologyEngine(square)).entries
+
+
+class TestClearing:
+    """Each row is ranked on the rows that clearing keeps. This checks it
+    against the full blocks ``row.matrices`` ranked by a reference
+    elimination, and checks that ``psi`` runs for exactly the targets with a
+    row left in."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        K=st.one_of(complexes(2, 7), relabelled_joins(max_m=7)),
+        field=st.sampled_from([M.RATIONALS, M.prime_field(32003)]),
+    )
+    def test_cleared_equals_full(self, K, field):
+        engine = CohomologyEngine(K, field)
+        targets = []
+        psi = engine.psi
+        engine.psi = lambda I, i, p: targets.append(I & ~masks.bit(i)) or psi(I, i, p)
+        for p in range(-1, K.dim() + 1):
+            row = assemble_row(engine, p)
+            del targets[:]
+            ranks = row.cohomology_ranks()
+            called = set(targets)
+            assert ranks == uncleared_row_ranks(row), (K, p)
+            expected = set()
+            for l, mat in row.matrices.items():
+                below = row.matrices.get(l - 1)
+                columns = list(range(row.dims[l - 1]))
+                rref = textbook_rref([dict(enumerate(r)) for r in below or ()], columns, field.p)
+                cleared = {q for q, _ in rref}
+                reached = {I & ~masks.bit(i) for I, _ in row.groups[l] for i in masks.vertices(I)}
+                pos = 0
+                for J, b in row.groups[l - 1]:
+                    if J in reached and any(r not in cleared for r in range(pos, pos + b)):
+                        expected.add(J)
+                    pos += b
+            assert called == expected, (K, p)
