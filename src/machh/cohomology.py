@@ -53,10 +53,9 @@ class CohomologyBasis:
     columns through a table, with no elimination (module docstring).
     """
 
-    __slots__ = ("p", "rank", "representatives", "_table", "_kernel")
+    __slots__ = ("rank", "representatives", "_table", "_kernel")
 
-    def __init__(self, p, representatives, table, kernel):
-        self.p = p
+    def __init__(self, representatives, table, kernel):
         self.rank = len(representatives)
         self.representatives = representatives
         self._table = table
@@ -181,7 +180,7 @@ class SubsetCohomology:
             return cached
         char = self.field.p
         if p not in self.simplices:
-            basis = CohomologyBasis(p, [], {}, SparseReducer({}, char))
+            basis = CohomologyBasis([], {}, SparseReducer({}, char))
             self._basis[p] = basis
             return basis
         kernel = self.delta_reducer(p)
@@ -203,7 +202,7 @@ class SubsetCohomology:
             table[q] = tuple(
                 (index[e], char - a if char else -a) for e, a in row.items() if e != q
             )
-        basis = CohomologyBasis(p, kernel_basis(kernel, essential), table, kernel)
+        basis = CohomologyBasis(kernel_basis(kernel, essential), table, kernel)
         self._basis[p] = basis
         return basis
 

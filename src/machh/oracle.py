@@ -2,7 +2,9 @@
 
 Everything here is dense, uncached, and re-derived from scratch: simplices are
 vertex tuples, matrices are lists of lists of Fractions, and each linear solve
-runs a fresh textbook elimination. None of the engine's sparse machinery, sign
+runs a fresh textbook elimination. The cohomology representatives of one
+(I, p) are the kernel vectors that are pivot columns of one echelon form of
+[coboundaries | kernel vectors]. None of the engine's sparse machinery, sign
 helpers, or basis bookkeeping is reused; agreement between the two paths is
 what the equivalence test suite certifies.
 """
@@ -64,11 +66,11 @@ def _echelon(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        rows[r] = [x / inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -135,15 +137,10 @@ class _SubsetQuotient:
         self.boundaries = [
             [delta_down[r][c] for r in range(n)] for c in range(len(cobs_src))
         ]
-        kernel = _null_space(_coboundary_matrix(table, p), n)
-        self.reps: list[list[Fraction]] = []
-        probe = [row[:] for row in self.boundaries]
-        base_rank = _matrix_rank(probe)
-        for kv in kernel:
-            if _matrix_rank(probe + [kv]) > base_rank:
-                probe.append(kv)
-                base_rank += 1
-                self.reps.append(kv)
+        # a column is a pivot exactly when it is outside the span of the ones before it
+        columns = self.boundaries + _null_space(_coboundary_matrix(table, p), n)
+        _, pivots = _echelon([[col[r] for col in columns] for r in range(n)])
+        self.reps = [columns[c] for c in pivots if c >= len(self.boundaries)]
 
     @property
     def rank(self) -> int:

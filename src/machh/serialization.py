@@ -46,10 +46,10 @@ def complex_from_dict(doc: dict, max_m: int | None = None) -> SimplicialComplex:
 def load_complex(path: str | Path, max_m: int | None = None) -> SimplicialComplex:
     """Read a complex document; ``max_m`` is as in ``complex_from_dict``."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes not UTF-8, nesting too deep
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return complex_from_dict(doc, max_m)
 

@@ -258,6 +258,17 @@ class TestExitCodes:
         assert run_main(capsys, "hh", square_file, "--max-m", "0")[0] == 2
         assert run_main(capsys, "ladder", "--r-max", "0")[0] == 2
 
+    def test_unparseable_files(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10_000 + "]" * 10_000)
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"m": 2, "facets": [[1], [2]], "labels": ["\xe9", "b"]}')
+        for path in (deep, latin):
+            for argv in (["hh", str(path)], ["check-thm1", str(path), "1,2"]):
+                code, out, err = run_main(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert err.startswith("ParseError: ") and err.count("\n") == 1, (argv, err)
+
     def test_refused_call_leaves_the_parser_as_it_was(self, capsys, square_file):
         # the parser is built once per process; a refusal must not change it
         code, first, _ = run_main(capsys, "h", square_file, "--format", "csv")

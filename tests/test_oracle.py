@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,19 @@ from machh.cohomology import CohomologyEngine
 from machh.double import hh_ranks
 from machh.errors import ResourceLimit
 from machh.linalg import dense_rank
-from machh.oracle import _matrix_rank, oracle_hh_rows, oracle_hh_total, oracle_reduced_betti
+from machh.oracle import (
+    _SubsetQuotient,
+    _cells_by_degree,
+    _coboundary_matrix,
+    _face_tuples,
+    _matrix_rank,
+    _null_space,
+    oracle_hh_rows,
+    oracle_hh_total,
+    oracle_reduced_betti,
+)
 
-from conftest import random_complex, simplex
+from conftest import complexes, random_complex, simplex
 
 
 def boundary_sphere(n: int) -> M.SimplicialComplex:
@@ -91,3 +102,30 @@ class TestDenseRankOracle:
     def test_rank_agreement(self, rows):
         mat = [[Fraction(x) for x in row] for row in rows]
         assert dense_rank(mat, 0) == _matrix_rank(mat)
+
+
+def probe_reps(faces: list[tuple], subset: tuple, p: int) -> list[list[Fraction]]:
+    """Greedy probe: keep each kernel vector of delta_p that raises the rank of
+    the coboundaries and the vectors kept so far."""
+    table = _cells_by_degree([f for f in faces if set(f) <= set(subset)])
+    n = len(table.get(p, []))
+    down = _coboundary_matrix(table, p - 1)
+    probe = [[row[c] for row in down] for c in range(len(table.get(p - 1, [])))]
+    reps = []
+    for kv in _null_space(_coboundary_matrix(table, p), n):
+        if _matrix_rank(probe + [kv]) > _matrix_rank(probe):
+            probe.append(kv)
+            reps.append(kv)
+    return reps
+
+
+class TestQuotientRepresentatives:
+    @settings(max_examples=100, deadline=None)
+    @given(complexes())
+    def test_one_echelon_picks_what_the_probe_picks(self, K):
+        faces = _face_tuples(K)
+        for size in range(K.m + 1):
+            for subset in combinations(range(1, K.m + 1), size):
+                for p in range(-1, K.dim() + 1):
+                    expected = probe_reps(faces, subset, p)
+                    assert _SubsetQuotient(faces, subset, p).reps == expected, (K, subset, p)
