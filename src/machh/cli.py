@@ -21,7 +21,7 @@ from .complexes import glue_simplex, join, k2r_family, k2r_vertex_count, wedge
 from .double import h_ranks, hh_ranks
 from .errors import MachhError, ParseError, ResourceLimit
 from .fields import RATIONALS, Field, prime_field
-from .oracle import oracle_hh_rows
+from .oracle import ORACLE_HH_M_CAP, oracle_hh_rows
 from .serialization import (
     complex_to_dict,
     load_complex,
@@ -267,7 +267,7 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    K = load_complex(args.input)
+    K = load_complex(args.input, ORACLE_HH_M_CAP)
     rows = oracle_hh_rows(K)
     doc = {
         "m": K.m,

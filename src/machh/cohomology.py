@@ -66,13 +66,17 @@ class CohomologyBasis:
 
         ``_table`` maps each free column to its coordinates over the essential
         ones; pivot columns of ``_kernel`` (the echelon form of delta_p) are
-        fixed by the free ones and read nowhere. A vector off the p-simplices
-        or with a nonzero coboundary raises ``InternalInconsistency``.
+        fixed by the free ones and read nowhere. The free columns and the
+        pivots are the p-simplices, so a vector with a key in neither, or
+        with a nonzero coboundary, raises ``InternalInconsistency``.
         """
         kernel = self._kernel
         char = kernel.p
-        if not vec.keys() <= kernel.order.keys():
-            raise InternalInconsistency("vector is not a cochain of this group")
+        table = self._table
+        pivots = kernel.rows
+        for s in vec:
+            if s not in table and s not in pivots:
+                raise InternalInconsistency("vector is not a cochain of this group")
         get = vec.get
         for row, _ in kernel.rows.values():
             x = 0
@@ -83,7 +87,6 @@ class CohomologyBasis:
             if x % char if char else x:
                 raise InternalInconsistency("vector is not a cocycle of this group")
         out = [0] * self.rank
-        table = self._table
         for s, c in vec.items():
             for k, a in table.get(s, ()):
                 out[k] += c * a
@@ -97,7 +100,7 @@ class SubsetCohomology:
         "I",
         "field",
         "simplices",
-        "orders",
+        "faces",
         "max_p",
         "_delta",
         "_basis",
@@ -106,6 +109,7 @@ class SubsetCohomology:
     def __init__(self, K: SimplicialComplex, I: int, field: Field = RATIONALS):
         self.I = I
         self.field = field
+        self.faces = K.faces
         outside = ~I
         self.simplices: dict[int, list[int]] = {}
         for p, faces in K.faces_by_dim.items():
@@ -113,9 +117,6 @@ class SubsetCohomology:
             if not group:
                 break  # no p-face inside I, so no higher one either (K is closed)
             self.simplices[p] = group
-        self.orders = {
-            p: {s: i for i, s in enumerate(g)} for p, g in self.simplices.items()
-        }
         self.max_p = max(self.simplices)
         self._delta: dict[int, SparseReducer] = {}
         self._basis: dict[int, CohomologyBasis] = {}
@@ -123,9 +124,10 @@ class SubsetCohomology:
     def coboundary_vector(self, p: int, s: int) -> dict:
         """delta(s*) as a sparse vector over the p-simplices, s of degree p-1.
 
-        The entry at s ∪ {j} is (-1)**(# elements of s below j).
+        The entry at s ∪ {j} is (-1)**(# elements of s below j). As s ∪ {j} ⊆ I,
+        it is a p-simplex of K_I exactly when it is a face of K.
         """
-        targets = self.orders.get(p, ())
+        faces = self.faces
         sign, other = 1, self.field.p - 1
         vec = {}
         rest = self.I
@@ -134,21 +136,23 @@ class SubsetCohomology:
             rest ^= low
             if low & s:
                 sign, other = other, sign
-            elif s | low in targets:
+            elif s | low in faces:
                 vec[s | low] = sign
         return vec
 
     def delta_reducer(self, p: int) -> SparseReducer:
-        """Echelon form of delta_p, rows indexed by the (p+1)-simplices.
+        """Echelon form of delta_p, rows indexed by the (p+1)-simplices, columns
+        by the p-simplices in the keys' own ``<`` order.
 
         The row of t has (-1)**i at t minus its i-th smallest vertex, times
-        (-1)**(p+1) so that its leading entry is +1. Rows of
-        the pivots of ``delta_reducer(p+1)`` are cleared (module docstring).
+        (-1)**(p+1) so that its leading entry is +1: the smallest mask in it
+        is t minus its largest vertex. Rows of the pivots of
+        ``delta_reducer(p+1)`` are cleared (module docstring).
         """
         red = self._delta.get(p)
         if red is None:
             cleared = self.delta_reducer(p + 1).rows if p + 2 in self.simplices else {}
-            red = SparseReducer(self.orders.get(p, {}), self.field.p)
+            red = SparseReducer(self.field.p)
             minus_one = self.field.p - 1
             for t in self.simplices.get(p + 1, ()):
                 if t in cleared:
@@ -180,12 +184,12 @@ class SubsetCohomology:
             return cached
         char = self.field.p
         if p not in self.simplices:
-            basis = CohomologyBasis([], {}, SparseReducer({}, char))
+            basis = CohomologyBasis([], {}, SparseReducer(char))
             self._basis[p] = basis
             return basis
         kernel = self.delta_reducer(p)
         pivots = kernel.rows
-        quotient = SparseReducer(self.orders[p], char)
+        quotient = SparseReducer(char)
         for s in self.delta_reducer(p - 1).rows:
             vec = self.coboundary_vector(p, s)
             quotient.add({t: c for t, c in vec.items() if t not in pivots})

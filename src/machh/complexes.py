@@ -64,19 +64,19 @@ class SimplicialComplex:
                     if not masks.contains(f, v)
                 ):
                     out.append(f)
-            self._facets = tuple(masks.lex_sorted(out))
+            self._facets = tuple(sorted(out, key=masks.vertices))
         return self._facets
 
     @property
     def faces_by_dim(self) -> dict[int, tuple[int, ...]]:
         """Faces grouped by dimension, in increasing dimension (the empty face
-        has -1), each group lexicographically ordered (cached). Filtering a
-        group keeps it ordered, so a full subcomplex never sorts."""
+        has -1), each group in the keys' own ``<`` order (cached). Filtering
+        a group keeps it ordered, so a full subcomplex never sorts."""
         if self._by_dim is None:
             groups: dict[int, list[int]] = {}
             for f in self.faces:
                 groups.setdefault(masks.card(f) - 1, []).append(f)
-            self._by_dim = {p: tuple(masks.lex_sorted(g)) for p, g in sorted(groups.items())}
+            self._by_dim = {p: tuple(sorted(g)) for p, g in sorted(groups.items())}
         return self._by_dim
 
     def dim(self) -> int:

@@ -182,8 +182,6 @@ def assemble_row(engine: CohomologyEngine, p: int, V: int | None = None) -> RowC
         b = bettis.get(p)
         if b:
             groups.setdefault(masks.card(I), []).append((I, b))
-    for l in groups:
-        groups[l].sort(key=lambda ib: masks.sort_key(ib[0]))
     dims = {l: sum(b for _, b in g) for l, g in groups.items()}
     return RowComplex(p=p, groups=groups, dims=dims, engine=engine)
 

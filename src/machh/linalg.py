@@ -43,17 +43,15 @@ def _normalize(vec: dict, d, p: int) -> dict:
 
 
 class SparseReducer:
-    """Incremental row echelon form over sparse vectors with a fixed column order.
+    """Incremental row echelon form over sparse vectors, in the keys' own ``<`` order.
 
-    ``order`` maps each column key to its position; ``p`` is the field's
-    characteristic. Rows are normalized to a unit pivot. With ``track=True``
-    every stored row also carries its expression in terms of the generators
-    passed to ``add``, which lets ``express`` write any vector of the span in
-    generator coordinates.
+    ``p`` is the field's characteristic. Rows are normalized to a unit pivot,
+    their smallest key. With ``track=True`` every stored row also carries its
+    expression in terms of the generators passed to ``add``, which lets
+    ``express`` write any vector of the span in generator coordinates.
     """
 
-    def __init__(self, order, p: int, track: bool = False):
-        self.order = order
+    def __init__(self, p: int, track: bool = False):
         self.p = p
         self.track = track
         self.rows: dict = {}
@@ -70,17 +68,11 @@ class SparseReducer:
         vec with no support on pivot columns, and the residual is then the
         canonical representative modulo the span.
         """
-        order = self.order
         rows = self.rows
         p = self.p
         while True:
-            best = None
-            for k in vec:
-                if k in rows:
-                    pk = order[k]
-                    if best is None or pk < best:
-                        piv, best = k, pk
-            if best is None:
+            piv = min((k for k in vec if k in rows), default=None)
+            if piv is None:
                 return vec, expr
             row = rows[piv]
             c = -vec[piv]
@@ -97,7 +89,6 @@ class SparseReducer:
         ``residual``, ``express``) do not depend on how far a stored row is
         reduced.
         """
-        order = self.order
         rows = self.rows
         p = self.p
         vec = dict(v)
@@ -105,7 +96,7 @@ class SparseReducer:
         if self.track:
             expr = {} if gen is None else {gen: 1}
         while vec:
-            piv = min(vec, key=order.__getitem__)
+            piv = min(vec)
             row = rows.get(piv)
             if row is None:
                 break
@@ -136,8 +127,8 @@ class SparseReducer:
         return {k: p - c for k, c in expr.items()}
 
     def rref_rows(self) -> list:
-        """Fully reduced rows as (pivot, vector), sorted by pivot position."""
-        items = sorted(self.rows.items(), key=lambda kv: self.order[kv[0]])
+        """Fully reduced rows as (pivot, vector), sorted by pivot."""
+        items = sorted(self.rows.items())
         vecs = [dict(v) for _, (v, _) in items]
         for idx in range(len(items) - 1, 0, -1):
             piv = items[idx][0]
@@ -154,21 +145,19 @@ def kernel_basis(reducer: SparseReducer, columns: Sequence) -> list[dict]:
     For each free (non-pivot) column f among ``columns``, in their order, the
     unique kernel vector that is 1 at f and 0 at every other free column. It
     is found by back-substitution on the echelon rows: the entry at a pivot q
-    is fixed by the row of q and the entries at later columns, and every
-    pivot after f gets 0.
+    is fixed by the row of q and the entries at later columns, in the keys'
+    own ``<`` order, and every pivot after f gets 0.
     """
-    order = reducer.order
     rows = reducer.rows
     p = reducer.p
-    pivots = sorted(rows, key=order.__getitem__, reverse=True)
+    pivots = sorted(rows, reverse=True)
     basis = []
     for f in columns:
         if f in rows:
             continue
         v = {f: 1}
-        pos = order[f]
         for q in pivots:
-            if order[q] > pos:
+            if q > f:
                 continue
             x = 0
             for s, c in rows[q][0].items():
@@ -187,7 +176,7 @@ def dense_rank(mat: Sequence[Sequence], p: int, pivots: set | None = None) -> in
 
     The column indices of the echelon pivots are added to ``pivots`` if given.
     """
-    red = SparseReducer(range(len(mat[0]) if mat else 0), p)
+    red = SparseReducer(p)
     for row in mat:
         red.add({j: x for j, x in enumerate(row) if x})
     if pivots is not None:

@@ -47,15 +47,6 @@ def full_mask(m: int) -> int:
     return (1 << m) - 1
 
 
-def sort_key(mask: int) -> tuple[int, ...]:
-    """Lexicographic order on the sorted vertex tuple."""
-    return vertices(mask)
-
-
-def lex_sorted(masks: Iterable[int]) -> list[int]:
-    return sorted(masks, key=sort_key)
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All subsets of mask, including mask itself and 0."""
     s = mask

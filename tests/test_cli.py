@@ -311,7 +311,8 @@ class TestExitCodes:
         assert built == []
 
     def test_cap_before_closure(self, capsys, tmp_path, monkeypatch):
-        # one 18-vertex facet closes to 2**18 faces; --max-m must refuse it first
+        # one 18-vertex facet closes to 2**18 faces; --max-m, or the oracle's
+        # own cap, must refuse it first
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"m": 18, "facets": [list(range(1, 19))]}))
 
@@ -322,6 +323,8 @@ class TestExitCodes:
         for argv in (["hh", str(path)], ["h", str(path)], ["check-thm1", str(path), "1,2"]):
             code, _, err = run_main(capsys, *argv, "--max-m", "10")
             assert code == 3 and "ResourceLimit" in err, (argv, err)
+        code, _, err = run_main(capsys, "oracle", str(path))
+        assert code == 3 and "ResourceLimit" in err, err
 
     def test_ladder_cap_before_any_member(self, capsys, monkeypatch):
         # r = 1000 needs m = 22 > 10: refused before r = 1..16 are computed

@@ -28,7 +28,7 @@ def sparse(row) -> dict:
 
 
 def reducer_of(mat, p: int = 0, track: bool = False) -> SparseReducer:
-    red = SparseReducer(range(len(mat[0])), p, track=track)
+    red = SparseReducer(p, track=track)
     for i, row in enumerate(mat):
         red.add(sparse(row), gen=i if track else None)
     return red
@@ -101,7 +101,7 @@ def test_rank_over_gf_matches_dense(mat, p):
 def test_add_matches_textbook_rref(mat, p):
     rows = [sparse([x % p if p else x for x in row]) for row in mat]
     columns = list(range(len(mat[0])))
-    red = SparseReducer(columns, p)
+    red = SparseReducer(p)
     for row in rows:
         red.add(row)
     rref = textbook_rref(rows, columns, p)
