@@ -31,6 +31,19 @@ No elimination runs whose result is already fixed:
   and 0 on the rest of F (``kernel_basis``). A cocycle's coordinates are its
   values on E minus those its values on the quotient's pivots carry through
   the fully reduced quotient rows, so ``express`` sums a per-column table.
+- Echelon forms along a vertex chain. ``CohomologyEngine.subset(I)`` builds
+  K_I on a cached K_J, J = I∖v, if it finds one. Columns are in the masks'
+  own integer order, and the order of K_I's p-faces restricts to that of
+  K_J's, so a stored row of K_J's ``delta_reducer(p)`` is an echelon row of
+  K_I's with the same pivot. Only the faces through v are new: they are the
+  g ∪ v with g a face of K_J and g ∪ v a face of K. ``simplices`` merges them
+  in, and each reducer starts from K_J's rows and adds only the rows of the
+  (p+1)-faces through v. Clearing stays sound: K_J's ``delta_reducer(p+1)``
+  pivots are pivots of K_I's, so every row that K_J cleared K_I clears too,
+  and a row that K_J kept and K_I would clear is redundant, not wrong. The
+  pivot set, ``rref_rows``, ``kernel_basis`` and ``basis`` depend only on the
+  row space, so they equal those of K_I built from scratch. Parent and child
+  share the stored rows, which are never mutated (``SparseReducer``).
 """
 
 from __future__ import annotations
@@ -102,21 +115,37 @@ class SubsetCohomology:
         "simplices",
         "faces",
         "max_p",
+        "_parent",
         "_delta",
         "_basis",
     )
 
-    def __init__(self, K: SimplicialComplex, I: int, field: Field = RATIONALS):
+    def __init__(
+        self, K: SimplicialComplex, I: int, field: Field = RATIONALS, parent: SubsetCohomology | None = None
+    ):
         self.I = I
         self.field = field
-        self.faces = K.faces
-        outside = ~I
+        self.faces = faces = K.faces
+        self._parent = parent
         self.simplices: dict[int, list[int]] = {}
-        for p, faces in K.faces_by_dim.items():
-            group = [f for f in faces if not f & outside]
-            if not group:
-                break  # no p-face inside I, so no higher one either (K is closed)
-            self.simplices[p] = group
+        if parent is None:
+            outside = ~I
+            for p, group in K.faces_by_dim.items():
+                group = [f for f in group if not f & outside]
+                if not group:
+                    break  # no p-face inside I, so no higher one either (K is closed)
+                self.simplices[p] = group
+        else:
+            # the faces through v are the parent's faces plus v that are faces of K
+            v = I ^ parent.I
+            below = ()
+            for p, group in parent.simplices.items():
+                through = [f for g in below if (f := g | v) in faces]
+                self.simplices[p] = sorted(group + through) if through else group
+                below = group
+            through = [f for g in below if (f := g | v) in faces]
+            if through:
+                self.simplices[parent.max_p + 1] = through
         self.max_p = max(self.simplices)
         self._delta: dict[int, SparseReducer] = {}
         self._basis: dict[int, CohomologyBasis] = {}
@@ -147,15 +176,23 @@ class SubsetCohomology:
         The row of t has (-1)**i at t minus its i-th smallest vertex, times
         (-1)**(p+1) so that its leading entry is +1: the smallest mask in it
         is t minus its largest vertex. Rows of the pivots of
-        ``delta_reducer(p+1)`` are cleared (module docstring).
+        ``delta_reducer(p+1)`` are cleared. With a parent K_{I∖v} the reducer
+        starts from the parent's rows and adds only the faces through v
+        (module docstring).
         """
         red = self._delta.get(p)
         if red is None:
             cleared = self.delta_reducer(p + 1).rows if p + 2 in self.simplices else {}
+            parent = self._parent
             red = SparseReducer(self.field.p)
+            if parent is None:
+                new = self.I  # every face but the empty one, whose row is zero
+            else:
+                new = self.I ^ parent.I
+                red.rows.update(parent.delta_reducer(p).rows)
             minus_one = self.field.p - 1
             for t in self.simplices.get(p + 1, ()):
-                if t in cleared:
+                if not t & new or t in cleared:
                     continue
                 row = {}
                 # the leading column is t minus its largest vertex, with sign
@@ -269,10 +306,19 @@ class CohomologyEngine:
         self._betti_tables: dict[int, dict[int, dict[int, int]]] = {}
 
     def subset(self, I: int) -> SubsetCohomology:
-        sc = self._cache.get(I)
+        """K_I's cohomology, built on the first cached K_{I∖v} found for v ∈ I
+        in increasing order, or from scratch if none is cached."""
+        cache = self._cache
+        sc = cache.get(I)
         if sc is None:
-            sc = SubsetCohomology(self.K, I, self.field)
-            self._cache[I] = sc
+            parent = None
+            rest = I
+            while rest and parent is None:
+                low = rest & -rest
+                rest ^= low
+                parent = cache.get(I ^ low)
+            sc = SubsetCohomology(self.K, I, self.field, parent)
+            cache[I] = sc
         return sc
 
     def is_cone(self, I: int) -> bool:

@@ -39,14 +39,31 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Downward closure of the listed facets; rejects ghost vertices."""
+        """Downward closure of the listed facets; rejects ghost vertices.
+
+        A face is expanded only when it is first seen: its subfaces are then
+        either new, and expanded in turn, or already closed below.
+        """
         if m < 1:
             raise ValueError(f"ground set size must be >= 1, got {m}")
         _check_ground_set(m)
         faces: set[int] = {0}
         for facet in facets:
             top = masks.mask_of(facet, m)
-            faces.update(masks.submasks(top))
+            if top in faces:
+                continue
+            faces.add(top)
+            todo = [top]
+            while todo:
+                f = todo.pop()
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    g = f ^ low
+                    if g not in faces:
+                        faces.add(g)
+                        todo.append(g)
         for v in range(1, m + 1):
             if masks.bit(v) not in faces:
                 raise GhostVertex(v)

@@ -49,6 +49,11 @@ class SparseReducer:
     their smallest key. With ``track=True`` every stored row also carries its
     expression in terms of the generators passed to ``add``, which lets
     ``express`` write any vector of the span in generator coordinates.
+
+    A stored row is never mutated: ``add`` stores a fresh dict, and every
+    reader either only reads rows or copies them first (``rref_rows``). So a
+    reducer may start from a copy of another's ``rows`` dict and share the
+    rows themselves, as a subset's coboundary reducers share their parent's.
     """
 
     def __init__(self, p: int, track: bool = False):

@@ -2,7 +2,9 @@
 
 Everything here is dense, uncached, and re-derived from scratch: simplices are
 vertex tuples, matrices are lists of lists of Fractions, and each linear solve
-runs a fresh textbook elimination. The cohomology representatives of one
+runs a fresh textbook elimination; the restricted cocycles bound for one
+target subset are solved together, in one elimination of
+[coboundaries | representatives | vectors]. The cohomology representatives of one
 (I, p) are the kernel vectors that are pivot columns of one echelon form of
 [coboundaries | kernel vectors]. None of the engine's sparse machinery, sign
 helpers, or basis bookkeeping is reused; agreement between the two paths is
@@ -99,17 +101,33 @@ def _null_space(mat: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def _solve_in_span(span: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients x with sum(x_i * span_i) = target, or None; fresh elimination."""
-    n = len(target)
-    aug = [[span[i][r] for i in range(len(span))] + [target[r]] for r in range(n)]
+def _solve_in_span(
+    span: list[list[Fraction]], targets: list[list[Fraction]]
+) -> list[list[Fraction] | None]:
+    """Per target, coefficients x with sum(x_i * span_i) = target, or None.
+
+    One fresh elimination of [span | targets]. The span's columns come first,
+    so its pivots and the rows that carry them do not depend on the targets;
+    a target is outside the span exactly when it has an entry in a row whose
+    pivot is not a span column.
+    """
+    if not targets:
+        return []
+    n = len(span)
+    cells = range(len(targets[0]))
+    aug = [[col[r] for col in span] + [t[r] for t in targets] for r in cells]
     rows, pivots = _echelon(aug)
-    coeffs = [Fraction(0)] * len(span)
-    for row, pc in zip(rows, pivots):
-        if pc == len(span):
-            return None  # inconsistent: target outside the span
-        coeffs[pc] = row[len(span)]
-    return coeffs
+    out = []
+    for k in range(n, n + len(targets)):
+        if any(row[k] for row, pc in zip(rows, pivots) if pc >= n):
+            out.append(None)
+            continue
+        coeffs = [Fraction(0)] * n
+        for row, pc in zip(rows, pivots):
+            if pc < n:
+                coeffs[pc] = row[k]
+        out.append(coeffs)
+    return out
 
 
 def oracle_reduced_betti(L: SimplicialComplex, p: int) -> int:
@@ -146,10 +164,13 @@ class _SubsetQuotient:
     def rank(self) -> int:
         return len(self.reps)
 
-    def coordinates(self, vector: list[Fraction]) -> list[Fraction]:
-        coeffs = _solve_in_span(self.boundaries + self.reps, vector)
-        assert coeffs is not None, "restricted cocycle escaped the cocycle space"
-        return coeffs[len(self.boundaries) :]
+    def coordinates(self, vectors: list[list[Fraction]]) -> list[list[Fraction]]:
+        """Coordinates over ``reps`` of each cocycle, modulo the boundaries."""
+        out = []
+        for coeffs in _solve_in_span(self.boundaries + self.reps, vectors):
+            assert coeffs is not None, "restricted cocycle escaped the cocycle space"
+            out.append(coeffs[len(self.boundaries) :])
+        return out
 
 
 def oracle_hh_rows(K: SimplicialComplex) -> dict:
@@ -183,7 +204,8 @@ def oracle_hh_rows(K: SimplicialComplex) -> dict:
                 row_at[t] = nrows
                 nrows += quotients[t].rank
             ncols = sum(quotients[s].rank for s in subsets)
-            mat = [[Fraction(0)] * ncols for _ in range(nrows)]
+            # every restricted representative bound for one target, solved in one elimination
+            incoming: dict[tuple, list] = {}
             col = 0
             for s in subsets:
                 q = quotients[s]
@@ -194,13 +216,18 @@ def oracle_hh_rows(K: SimplicialComplex) -> dict:
                         continue
                     sign = Fraction((-1) ** (p + 1) * (-1) ** pos)
                     keep = [idx for idx, cell in enumerate(q.cells) if i not in cell]
+                    assert [q.cells[idx] for idx in keep] == qt.cells
                     for ci, rep in enumerate(q.reps):
                         restricted = [rep[idx] for idx in keep]
-                        assert [q.cells[idx] for idx in keep] == qt.cells
-                        for ri, c in enumerate(qt.coordinates(restricted)):
-                            if c:
-                                mat[row_at[t] + ri][col + ci] = sign * c
+                        incoming.setdefault(t, []).append((col + ci, sign, restricted))
                 col += q.rank
+            mat = [[Fraction(0)] * ncols for _ in range(nrows)]
+            for t, entries in incoming.items():
+                solved = quotients[t].coordinates([vec for _, _, vec in entries])
+                for (c, sign, _), coords in zip(entries, solved):
+                    for ri, x in enumerate(coords):
+                        if x:
+                            mat[row_at[t] + ri][c] = sign * x
             diffs[size] = mat
         total = 0
         for size, subsets in by_size.items():

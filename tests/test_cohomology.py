@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces
-from machh.double import assemble_row
+from machh.double import assemble_row, hh_ranks
 from machh.errors import InternalInconsistency
 from machh.fields import prime_field
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
@@ -398,3 +398,104 @@ class TestKunnethRank:
                 assert eng.rank(I, p) == expected, (K, masks.mask_str(I), p)
         for I in eng._cache:
             assert any(not I & ~V for V in eng.factors), (K, masks.mask_str(I))
+
+
+@st.composite
+def glued_pairs(draw, max_m: int = 7):
+    """A complex and a minimal non-face sigma of it, which may be glued in."""
+    K = draw(complexes(max_m=max_m).filter(_minimal_non_faces))
+    return K, draw(st.sampled_from(_minimal_non_faces(K)))
+
+
+def build_every_subset(eng: CohomologyEngine, rng) -> None:
+    """eng.subset(I) for every I, in increasing order (every nonempty I then
+    finds I minus its least vertex) or, if ``rng`` is given, shuffled."""
+    order = list(range(1 << eng.K.m))
+    if rng is not None:
+        rng.shuffle(order)
+    for I in order:
+        eng.subset(I)
+
+
+def assert_cached_subsets_match_scratch(eng: CohomologyEngine) -> int:
+    """Every cached subset against one built from scratch; returns how many
+    extend a parent. Subsets without a parent are compared too: a child that
+    wrote into its parent's rows would show there."""
+    chained = 0
+    for I, sc in list(eng._cache.items()):
+        chained += sc._parent is not None
+        fresh = SubsetCohomology(eng.K, I, eng.field)
+        where = (eng.K, masks.mask_str(I))
+        assert sc.simplices == fresh.simplices, where
+        for p in range(-2, fresh.max_p + 1):
+            red, ref = sc.delta_reducer(p), fresh.delta_reducer(p)
+            assert set(red.rows) == set(ref.rows), (*where, p)
+            assert red.rref_rows() == ref.rref_rows(), (*where, p)
+        for p in range(-1, fresh.max_p + 1):
+            assert sc.betti(p) == fresh.betti(p), (*where, p)
+            basis, ref = sc.basis(p), fresh.basis(p)
+            assert basis.representatives == ref.representatives, (*where, p)
+            for rep in ref.representatives:
+                assert basis.express(rep) == ref.express(rep), (*where, p)
+    return chained
+
+
+class TestVertexChain:
+    """A K_I built on a cached K_{I∖v} equals K_I built from scratch, and no
+    stored row is ever mutated, so parent and child may share them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_m=7), FIELDS, st.none() | st.randoms(use_true_random=False))
+    def test_chained_subsets_match_scratch(self, K, field, rng):
+        eng = CohomologyEngine(K, field)
+        build_every_subset(eng, rng)
+        chained = assert_cached_subsets_match_scratch(eng)
+        if rng is None:
+            assert chained == (1 << K.m) - 1  # all but the empty subset
+
+    @settings(max_examples=30, deadline=None)
+    @given(relabelled_joins(max_m=7), FIELDS, st.none() | st.randoms(use_true_random=False))
+    def test_chained_subsets_of_joins_match_scratch(self, K, field, rng):
+        eng = CohomologyEngine(K, field)
+        hh_ranks(eng)
+        build_every_subset(eng, rng)
+        assert_cached_subsets_match_scratch(eng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(glued_pairs(), FIELDS, st.none() | st.randoms(use_true_random=False))
+    def test_glued_subsets_extend_inherited_ones(self, pair, field, rng):
+        K, sigma = pair
+        before = CohomologyEngine(K, field)
+        build_every_subset(before, rng)
+        glued = CohomologyEngine(M.glue_simplex(K, sigma), field)
+        glued.inherit(before, sigma)
+        inherited = dict(glued._cache)
+        build_every_subset(glued, rng)
+        assert_cached_subsets_match_scratch(glued)
+        if rng is None:
+            # an I ⊇ sigma extends an inherited I∖v for v the least vertex of sigma at most
+            for I, sc in glued._cache.items():
+                if not sigma & ~I and I & -I == sigma & -sigma:
+                    assert sc._parent is inherited[I ^ I & -I], (K, masks.mask_str(I))
+
+    @settings(max_examples=30, deadline=None)
+    @given(complexes(max_m=7), FIELDS)
+    def test_stored_rows_are_shared_and_never_mutated(self, K, field):
+        eng = CohomologyEngine(K, field)
+        hh_ranks(eng)
+        built = [(sc, p, red) for sc in list(eng._cache.values()) for p, red in sc._delta.items()]
+        snapshot = [{q: (dict(row), expr) for q, (row, expr) in red.rows.items()} for _, _, red in built]
+        for sc, p, red in built:
+            parent = sc._parent
+            if parent is not None and p in parent._delta:
+                for q, row in parent._delta[p].rows.items():
+                    assert red.rows[q] is row  # shared, not copied
+        for I, sc in list(eng._cache.items()):
+            for i in masks.vertices(I):
+                for p in range(-1, sc.max_p + 1):
+                    eng.psi(I, i, p)
+        for sc, p, red in built:
+            red.rref_rows()
+            kernel_basis(red, sc.simplices.get(p, ()))
+        after = [{q: (dict(row), expr) for q, (row, expr) in red.rows.items()} for _, _, red in built]
+        assert after == snapshot, K

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import machh as M
 from machh import masks
@@ -45,6 +46,26 @@ class TestFromFacets:
             4, [list(masks.vertices(f)) for f in square.facets]
         )
         assert rebuilt == square
+
+
+@st.composite
+def facet_lists(draw):
+    """Every singleton plus random, possibly repeated or nested, facets."""
+    m = draw(st.integers(1, 10))
+    vertex_sets = st.sets(st.integers(1, m), min_size=1, max_size=m)
+    extra = draw(st.lists(vertex_sets, max_size=12))
+    return m, [[v] for v in range(1, m + 1)] + [sorted(f) for f in extra]
+
+
+class TestClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(facet_lists())
+    def test_closure_equals_every_facets_submasks(self, drawn):
+        m, facets = drawn
+        expected = {0}
+        for facet in facets:
+            expected.update(masks.submasks(mask(facet, m)))
+        assert M.SimplicialComplex.from_facets(m, facets).faces == frozenset(expected)
 
 
 class TestFullSubcomplex:

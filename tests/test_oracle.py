@@ -17,7 +17,9 @@ from machh.oracle import (
     _coboundary_matrix,
     _face_tuples,
     _matrix_rank,
+    _echelon,
     _null_space,
+    _solve_in_span,
     oracle_hh_rows,
     oracle_hh_total,
     oracle_reduced_betti,
@@ -129,3 +131,55 @@ class TestQuotientRepresentatives:
                 for p in range(-1, K.dim() + 1):
                     expected = probe_reps(faces, subset, p)
                     assert _SubsetQuotient(faces, subset, p).reps == expected, (K, subset, p)
+
+
+def solve_one(span: list, target: list):
+    """Coefficients of target over span from its own elimination of [span | target]."""
+    aug = [[col[r] for col in span] + [target[r]] for r in range(len(target))]
+    rows, pivots = _echelon(aug)
+    coeffs = [Fraction(0)] * len(span)
+    for row, pc in zip(rows, pivots):
+        if pc == len(span):
+            return None
+        coeffs[pc] = row[len(span)]
+    return coeffs
+
+
+class TestSolveInSpan:
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(max_m=6))
+    def test_one_elimination_per_target_equals_one_per_vector(self, K):
+        """Every restricted representative bound for a target, as oracle_hh_rows
+        gathers them, gets the coordinates of its own solve."""
+        faces = _face_tuples(K)
+        ground = range(1, K.m + 1)
+        for p in range(-1, K.dim() + 1):
+            quotients = {
+                subset: _SubsetQuotient(faces, subset, p)
+                for size in range(K.m + 1)
+                for subset in combinations(ground, size)
+            }
+            for t, qt in quotients.items():
+                if not qt.rank:
+                    continue
+                vectors = []
+                for i in ground:
+                    if i in t:
+                        continue
+                    s = tuple(sorted(t + (i,)))
+                    q = quotients[s]
+                    keep = [idx for idx, cell in enumerate(q.cells) if i not in cell]
+                    vectors += [[rep[idx] for idx in keep] for rep in q.reps]
+                span = qt.boundaries + qt.reps
+                expected = [solve_one(span, v)[len(qt.boundaries) :] for v in vectors]
+                assert qt.coordinates(vectors) == expected, (K, t, p)
+
+    def test_vectors_outside_the_span_are_none(self):
+        span = [[Fraction(1), Fraction(0), Fraction(0)]]
+        inside = [Fraction(3), Fraction(0), Fraction(0)]
+        outside = [Fraction(1), Fraction(1), Fraction(0)]
+        twice = [Fraction(2), Fraction(2), Fraction(0)]
+        targets = [outside, inside, twice, inside]
+        assert _solve_in_span(span, targets) == [solve_one(span, t) for t in targets]
+        assert _solve_in_span(span, targets) == [None, [3], None, [3]]
+        assert _solve_in_span([], [[Fraction(0)], [Fraction(1)]]) == [[], None]
