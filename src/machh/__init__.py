@@ -19,7 +19,7 @@ from .complexes import (
 from .cohomology import CohomologyBasis, CohomologyEngine
 from .double import BigradedRankTable, RowComplex, assemble_row, h_ranks, hh_ranks
 from .fields import RATIONALS, Field, prime_field
-from .oracle import oracle_hh_rows, oracle_hh_total, oracle_reduced_betti
+from .oracle import oracle_hh_rows, oracle_reduced_betti
 from .theorem import Thm1Report, Thm1Verification, check_theorem1, verify_theorem1
 from . import errors, masks
 
@@ -45,7 +45,6 @@ __all__ = [
     "prime_field",
     "oracle_reduced_betti",
     "oracle_hh_rows",
-    "oracle_hh_total",
     "Thm1Report",
     "Thm1Verification",
     "check_theorem1",

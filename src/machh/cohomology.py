@@ -91,7 +91,7 @@ class CohomologyBasis:
             if s not in table and s not in pivots:
                 raise InternalInconsistency("vector is not a cochain of this group")
         get = vec.get
-        for row, _ in kernel.rows.values():
+        for row in kernel.rows.values():
             x = 0
             for s, c in row.items():
                 y = get(s)

@@ -29,12 +29,11 @@ class SimplicialComplex:
     empty complex ``{∅}`` arising from restriction to the empty subset.
     """
 
-    __slots__ = ("m", "faces", "_facets", "_by_dim")
+    __slots__ = ("m", "faces", "_by_dim")
 
     def __init__(self, m: int, faces: frozenset[int]):
         self.m = m
         self.faces = faces
-        self._facets: tuple[int, ...] | None = None
         self._by_dim: dict[int, tuple[int, ...]] | None = None
 
     @classmethod
@@ -71,18 +70,16 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[int, ...]:
-        """Inclusion-maximal faces, lexicographically ordered (cached)."""
-        if self._facets is None:
-            out = []
-            for f in self.faces:
-                if not any(
-                    f | masks.bit(v) in self.faces
-                    for v in range(1, self.m + 1)
-                    if not masks.contains(f, v)
-                ):
-                    out.append(f)
-            self._facets = tuple(sorted(out, key=masks.vertices))
-        return self._facets
+        """Inclusion-maximal faces, lexicographically ordered."""
+        out = []
+        for f in self.faces:
+            if not any(
+                f | masks.bit(v) in self.faces
+                for v in range(1, self.m + 1)
+                if not f & masks.bit(v)
+            ):
+                out.append(f)
+        return tuple(sorted(out, key=masks.vertices))
 
     @property
     def faces_by_dim(self) -> dict[int, tuple[int, ...]]:

@@ -123,10 +123,12 @@ class RowComplex:
         col = 0
         for I, b in self.groups[l]:
             for i in masks.vertices(I):
-                rows = rows_of.get(I & ~masks.bit(i))
+                ibit = masks.bit(i)
+                rows = rows_of.get(I & ~ibit)
                 if rows is None:
                     continue
-                positive = masks.sign_epsilon(i, I) * (-1) ** (p + 1) == 1
+                # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i)
+                positive = (masks.card(I & (ibit - 1)) + p + 1) % 2 == 0
                 for row, values in zip(rows, engine.psi(I, i, p)):
                     if row is None:
                         continue
@@ -190,10 +192,9 @@ def hh_ranks(engine: CohomologyEngine) -> BigradedRankTable:
     """Bigraded double cohomology ranks: cohomology of every row of (H*(Z_K), d'),
     for the engine's complex K over its field, one join factor at a time."""
     table = BigradedRankTable({(0, 0): 1})
-    top = engine.K.dim()  # a scan of every face, so once, not per factor
     for V in engine.factors:
         entries: dict = {}
-        for p in range(-1, top + 1):
+        for p in sorted({p for bettis in engine.betti_table(V).values() for p in bettis}):
             row = assemble_row(engine, p, V)
             for l, r in row.cohomology_ranks().items():
                 entries[(-(l - p - 1), 2 * l)] = r

@@ -65,12 +65,6 @@ class NotApplicable(MachhError):
     exit_code = 1
 
 
-class NotInSubset(MachhError):
-    """Sign lookup for a vertex outside the subset."""
-
-    exit_code = 2
-
-
 class ResourceLimit(MachhError):
     """Input exceeds the configured size cap."""
 

@@ -1,10 +1,10 @@
 """Exact sparse Gaussian elimination on plain ints, over Q (p = 0) or GF(p).
 
-Vectors are dicts from column keys to nonzero scalars. Over GF(p) every
-scalar is an int in ``[0, p)``. Over Q scalars are ints until a pivot other
-than ±1 is divided out (``_normalize``), which is the only place a
-``Fraction`` is made. For a nonzero scalar ``c`` of either field, ``p - c``
-is ``-c``.
+Vectors are dicts from column keys to nonzero scalars; an echelon row is
+stored as its vector. Over GF(p) every scalar is an int in ``[0, p)``. Over
+Q scalars are ints until a pivot other than ±1 is divided out
+(``_normalize``), which is the only place a ``Fraction`` is made. For a
+nonzero scalar ``c`` of either field, ``p - c`` is ``-c``.
 """
 
 from __future__ import annotations
@@ -45,10 +45,12 @@ def _normalize(vec: dict, d, p: int) -> dict:
 class SparseReducer:
     """Incremental row echelon form over sparse vectors, in the keys' own ``<`` order.
 
-    ``p`` is the field's characteristic. Rows are normalized to a unit pivot,
-    their smallest key. With ``track=True`` every stored row also carries its
+    ``p`` is the field's characteristic. ``rows`` maps each pivot to its
+    stored row, a vector dict normalized to a unit pivot, its smallest key.
+    With ``track=True`` the side dict ``exprs`` maps each pivot to the row's
     expression in terms of the generators passed to ``add``, which lets
-    ``express`` write any vector of the span in generator coordinates.
+    ``express`` write any vector of the span in generator coordinates;
+    without it ``exprs`` is None. Only ``add`` and ``_reduce`` read ``exprs``.
 
     A stored row is never mutated: ``add`` stores a fresh dict, and every
     reader either only reads rows or copies them first (``rref_rows``). So a
@@ -58,8 +60,8 @@ class SparseReducer:
 
     def __init__(self, p: int, track: bool = False):
         self.p = p
-        self.track = track
         self.rows: dict = {}
+        self.exprs: dict | None = {} if track else None
 
     @property
     def rank(self) -> int:
@@ -79,11 +81,10 @@ class SparseReducer:
             piv = min((k for k in vec if k in rows), default=None)
             if piv is None:
                 return vec, expr
-            row = rows[piv]
             c = -vec[piv]
-            addmul(vec, row[0], c, p)
-            if expr is not None and row[1] is not None:
-                addmul(expr, row[1], c, p)
+            addmul(vec, rows[piv], c, p)
+            if expr is not None:
+                addmul(expr, self.exprs[piv], c, p)
 
     def add(self, v: dict, gen=None) -> bool:
         """Insert a vector; returns True iff it enlarged the span.
@@ -95,10 +96,11 @@ class SparseReducer:
         reduced.
         """
         rows = self.rows
+        exprs = self.exprs
         p = self.p
         vec = dict(v)
         expr = None
-        if self.track:
+        if exprs is not None:
             expr = {} if gen is None else {gen: 1}
         while vec:
             piv = min(vec)
@@ -106,16 +108,15 @@ class SparseReducer:
             if row is None:
                 break
             c = -vec[piv]
-            addmul(vec, row[0], c, p)
-            if expr is not None and row[1] is not None:
-                addmul(expr, row[1], c, p)
+            addmul(vec, row, c, p)
+            if expr is not None:
+                addmul(expr, exprs[piv], c, p)
         if not vec:
             return False
         d = vec[piv]
-        vec = _normalize(vec, d, p)
+        rows[piv] = _normalize(vec, d, p)
         if expr is not None:
-            expr = _normalize(expr, d, p)
-        rows[piv] = (vec, expr)
+            exprs[piv] = _normalize(expr, d, p)
         return True
 
     def residual(self, v: dict) -> dict:
@@ -124,7 +125,7 @@ class SparseReducer:
         return vec
 
     def express(self, v: dict) -> dict | None:
-        """Coordinates of v in the tracked generators, or None if v is outside."""
+        """Coordinates of v in the generators of a ``track=True`` reducer, or None if v is outside."""
         vec, expr = self._reduce(dict(v), {})
         if vec:
             return None
@@ -134,7 +135,7 @@ class SparseReducer:
     def rref_rows(self) -> list:
         """Fully reduced rows as (pivot, vector), sorted by pivot."""
         items = sorted(self.rows.items())
-        vecs = [dict(v) for _, (v, _) in items]
+        vecs = [dict(v) for _, v in items]
         for idx in range(len(items) - 1, 0, -1):
             piv = items[idx][0]
             for j in range(idx):
@@ -165,7 +166,7 @@ def kernel_basis(reducer: SparseReducer, columns: Sequence) -> list[dict]:
             if q > f:
                 continue
             x = 0
-            for s, c in rows[q][0].items():
+            for s, c in rows[q].items():
                 y = v.get(s)
                 if y is not None:
                     x += c * y

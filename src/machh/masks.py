@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import NotInSubset, VertexOutOfRange
+from .errors import VertexOutOfRange
 
 MAX_GROUND_SET = 30
 
@@ -39,34 +39,8 @@ def card(mask: int) -> int:
     return mask.bit_count()
 
 
-def contains(mask: int, v: int) -> bool:
-    return bool(mask & bit(v))
-
-
 def full_mask(m: int) -> int:
     return (1 << m) - 1
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of mask, including mask itself and 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
-def below_count(mask: int, v: int) -> int:
-    """Number of elements of mask strictly below v."""
-    return (mask & (bit(v) - 1)).bit_count()
-
-
-def sign_epsilon(j: int, mask: int) -> int:
-    """(-1)**(number of elements of the subset strictly below j); j must belong."""
-    if not contains(mask, j):
-        raise NotInSubset(f"vertex {j} not in {set(vertices(mask))}")
-    return -1 if below_count(mask, j) & 1 else 1
 
 
 def mask_str(mask: int) -> str:

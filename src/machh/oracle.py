@@ -238,8 +238,3 @@ def oracle_hh_rows(K: SimplicialComplex) -> dict:
         if total:
             rows[p] = total
     return rows
-
-
-def oracle_hh_total(K: SimplicialComplex) -> int:
-    """Total double cohomology rank by the dense path."""
-    return sum(oracle_hh_rows(K).values())

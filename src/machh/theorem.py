@@ -46,7 +46,7 @@ class Thm1Verification:
 
 def _relabeling(m: int, sigma: int) -> tuple:
     inside = masks.vertices(sigma)
-    outside = [v for v in range(1, m + 1) if not masks.contains(sigma, v)]
+    outside = [v for v in range(1, m + 1) if not sigma & masks.bit(v)]
     perm = [0] * m
     for new, old in enumerate(inside + tuple(outside), start=1):
         perm[old - 1] = new
@@ -64,7 +64,7 @@ def check_theorem1(engine: CohomologyEngine, sigma: int) -> Thm1Report:
     n = masks.card(sigma) - 1
     if n < 1 or sigma & ~masks.full_mask(K.m):
         raise BadSigma(f"sigma must have >= 2 vertices inside [{K.m}]")
-    outside = [v for v in range(1, K.m + 1) if not masks.contains(sigma, v)]
+    outside = [v for v in range(1, K.m + 1) if not sigma & masks.bit(v)]
     sigma_verts = masks.vertices(sigma)
 
     cond1 = sigma not in K.faces

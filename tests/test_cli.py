@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import machh as M
 from machh.cli import main
 from machh.cohomology import CohomologyEngine
-from machh.errors import InternalInconsistency, MachhError, NotInSubset, ParseError
+from machh.errors import InternalInconsistency, MachhError, ParseError, VertexOutOfRange
 from machh.serialization import (
     complex_from_dict,
     complex_to_dict,
@@ -220,10 +220,10 @@ class TestExitCodes:
         "exc,code",
         [
             (InternalInconsistency("broken"), 5),
-            (NotInSubset("broken"), 2),
+            (VertexOutOfRange("broken"), 2),
             (ValueError("broken"), 2),
         ],
-        ids=["InternalInconsistency", "NotInSubset", "ValueError"],
+        ids=["InternalInconsistency", "VertexOutOfRange", "ValueError"],
     )
     def test_error_raised_mid_request(self, capsys, square_file, monkeypatch, exc, code):
         def fail(*args, **kwargs):

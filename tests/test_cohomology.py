@@ -177,9 +177,8 @@ class TestScalarTypes:
                 for i in masks.vertices(I):
                     yield from (x for row in eng.psi(I, i, p) for x in row)
             for red in reducers:
-                for vec, expr in red.rows.values():
+                for vec in red.rows.values():
                     yield from vec.values()
-                    yield from (expr or {}).values()
 
     def test_rationals_are_ints_or_fractions(self):
         rng = random.Random(41)
@@ -379,8 +378,7 @@ class TestDeltaRowSigns:
                 for t in sc.simplices.get(p + 1, ()):
                     if t not in cleared:
                         textbook.add(boundary_row(t, char))
-                stored = {q: row for q, (row, _) in red.rows.items()}
-                assert stored == {q: row for q, (row, _) in textbook.rows.items()}, (K, I, p)
+                assert red.rows == textbook.rows, (K, I, p)
         assert leads and set(leads) == {1}, K
 
 
@@ -484,7 +482,7 @@ class TestVertexChain:
         eng = CohomologyEngine(K, field)
         hh_ranks(eng)
         built = [(sc, p, red) for sc in list(eng._cache.values()) for p, red in sc._delta.items()]
-        snapshot = [{q: (dict(row), expr) for q, (row, expr) in red.rows.items()} for _, _, red in built]
+        snapshot = [{q: dict(row) for q, row in red.rows.items()} for _, _, red in built]
         for sc, p, red in built:
             parent = sc._parent
             if parent is not None and p in parent._delta:
@@ -497,5 +495,16 @@ class TestVertexChain:
         for sc, p, red in built:
             red.rref_rows()
             kernel_basis(red, sc.simplices.get(p, ()))
-        after = [{q: (dict(row), expr) for q, (row, expr) in red.rows.items()} for _, _, red in built]
+        after = [{q: dict(row) for q, row in red.rows.items()} for _, _, red in built]
         assert after == snapshot, K
+
+    @settings(max_examples=30, deadline=None)
+    @given(relabelled_joins(max_m=7) | complexes(max_m=7), FIELDS)
+    def test_stored_rows_are_plain_dicts(self, K, field):
+        # a request path stores each echelon row as its vector, with no expressions beside it
+        eng = CohomologyEngine(K, field)
+        hh_ranks(eng)
+        for sc in eng._cache.values():
+            for red in [*sc._delta.values(), *(basis._kernel for basis in sc._basis.values())]:
+                assert red.exprs is None, (K, masks.mask_str(sc.I))
+                assert all(type(row) is dict for row in red.rows.values()), (K, masks.mask_str(sc.I))

@@ -21,6 +21,16 @@ def mask(verts, m):
     return masks.mask_of(verts, m)
 
 
+def submasks(mask: int):
+    """All subsets of mask, including mask itself and 0."""
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
+
+
 class TestFromFacets:
     def test_square(self, square):
         assert square.m == 4
@@ -64,7 +74,7 @@ class TestClosure:
         m, facets = drawn
         expected = {0}
         for facet in facets:
-            expected.update(masks.submasks(mask(facet, m)))
+            expected.update(submasks(mask(facet, m)))
         assert M.SimplicialComplex.from_facets(m, facets).faces == frozenset(expected)
 
 

@@ -8,7 +8,7 @@ import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine
 from machh.double import assemble_row, h_ranks, hh_ranks
-from machh.errors import NotInSubset, ResourceLimit
+from machh.errors import ResourceLimit
 from machh.oracle import oracle_hh_rows
 
 from conftest import (
@@ -26,19 +26,6 @@ from conftest import (
     unfactored_h_ranks,
     unfactored_hh_ranks,
 )
-
-
-class TestSignEpsilon:
-    @pytest.mark.parametrize(
-        "j,subset,expected",
-        [(2, [2, 5, 7], 1), (5, [2, 5, 7], -1), (7, [2, 5, 7], 1)],
-    )
-    def test_examples(self, j, subset, expected):
-        assert masks.sign_epsilon(j, masks.mask_of(subset, 7)) == expected
-
-    def test_not_in_subset(self):
-        with pytest.raises(NotInSubset):
-            masks.sign_epsilon(3, masks.mask_of([2, 5], 5))
 
 
 class TestHRanks:

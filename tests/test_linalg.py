@@ -91,7 +91,7 @@ def test_rank_over_gf_matches_dense(mat, p):
     red = reducer_of(reduced, p)
     assert red.rank == rank_mod_p(mat, p)
     assert dense_rank(reduced, p) == red.rank
-    for vec, _ in red.rows.values():
+    for vec in red.rows.values():
         assert all(type(x) is int and 0 < x < p for x in vec.values())
 
 
