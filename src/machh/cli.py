@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 5 verdict or verification mismatch (a bug or a
 counterexample); a library error exits with its class's ``exit_code`` (see
-``errors``), and a ``ValueError`` from a type accident in the input with 2.
+``errors``), a ``ValueError`` from a type accident in the input with 2, and
+running out of memory with 3, the resource-limit code.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def _emit(text: str, out: str | None) -> None:
 
     A file target is written to a fresh temporary file in its directory and
     renamed over the target, so concurrent runs never share a temporary name
-    and no partial or temporary file is left behind.
+    and no partial or temporary file is left behind. A target that exists
+    and is not a regular file, such as a device or a FIFO, is written in
+    place: a rename would replace it.
     """
     if out is None:
         sys.stdout.write(text)
@@ -75,6 +78,10 @@ def _emit(text: str, out: str | None) -> None:
     target = Path(out)
     tmp = None
     try:
+        if target.exists() and not target.is_file():
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -296,6 +303,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
+    except MemoryError:
+        sys.stderr.write("ResourceLimit: out of memory\n")
+        return ResourceLimit.exit_code
 
 
 if __name__ == "__main__":

@@ -44,6 +44,20 @@ No elimination runs whose result is already fixed:
   pivot set, ``rref_rows``, ``kernel_basis`` and ``basis`` depend only on the
   row space, so they equal those of K_I built from scratch. Parent and child
   share the stored rows, which are never mutated (``SparseReducer``).
+- One subset per twin orbit. Vertices a and b are twins when swapping them
+  maps the minimal non-faces onto themselves; as K is the set of masks that
+  contain no minimal non-face, the swap is then an automorphism of K. Twins
+  form classes, each inside one join factor, and every permutation within
+  the classes is an automorphism. ``canon(I)`` keeps the lowest |I ∩ c|
+  members of each class c, and g maps R = canon(I) onto I monotonically
+  within each class. Then g maps K_R onto K_I, so b_p(K_I) = b_p(K_R), and
+  K_I's basis is g_* of K_R's: (g_*φ)(g s) = sign(g, s)·φ(s), with
+  sign(g, s) the parity of g on s's sorted vertices. g_* commutes with δ
+  and with restriction, so ``psi(I, i, p)`` is the block of R and
+  i′ = g⁻¹(i) into canon(R∖i′) = canon(I∖i), after the within-class shift
+  h: R∖i′ → canon(R∖i′), since g restricted to R∖i′ is the monotone map
+  g′ ∘ h. Only canonical subsets are built; a block is cached when another
+  member of R's orbit can ask for it.
 """
 
 from __future__ import annotations
@@ -271,12 +285,41 @@ def _minimal_non_faces(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
+def _twin_classes(non_faces: tuple[int, ...]) -> tuple[int, ...]:
+    """The twin classes with two or more members, as masks, increasing.
+
+    a and b are twins when N -> N ^ {a, b} maps every minimal non-face N that
+    holds one of them to a minimal non-face; the map is an involution, so it
+    then maps them onto themselves. Twinship is an equivalence, so each
+    vertex is compared with the least member of each class found so far.
+    Cone points lie in no minimal non-face and in no class.
+    """
+    listed = set(non_faces)
+    holding: dict[int, list[int]] = {}
+    for N in non_faces:
+        rest = N
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            holding.setdefault(low, []).append(N)
+    found: list[int] = []
+    for v in sorted(holding):
+        for k, c in enumerate(found):
+            ab = (c & -c) | v
+            if all(N ^ ab in listed for N in holding[c & -c] + holding[v] if N & ab != ab):
+                found[k] = c | v
+                break
+        else:
+            found.append(v)
+    return tuple(sorted(c for c in found if c & (c - 1)))
+
+
 class CohomologyEngine:
     """Per-subset cohomology cache for a fixed ambient complex K and field.
 
     One engine serves every computation of a request on that (K, field) pair,
-    so each full subcomplex is grouped and eliminated at most once, and a cone
-    K_I is never built for a rank. The engine is the only place a request
+    so each full subcomplex is grouped and eliminated at most once, only one
+    per twin orbit is, and a cone K_I is never built for a rank. The engine is the only place a request
     names its complex, field and vertex cap: a K with more than ``max_m``
     vertices raises ``ResourceLimit`` before any work.
 
@@ -285,6 +328,11 @@ class CohomologyEngine:
     Every minimal non-face lies in one V, so K is the join of its K_V and of
     the simplex on the cone points, the vertices in no minimal non-face. A
     simplex has no factors.
+
+    ``twins`` pairs each twin class c, as a mask, with its members' bits in
+    increasing order. Subsets and Betti numbers are computed for canonical
+    subsets only, and ``psi`` transports them to the rest of each orbit
+    (module docstring). A twin-free K has no classes.
     """
 
     def __init__(self, K: SimplicialComplex, field: Field = RATIONALS, max_m: int = DEFAULT_MAX_M):
@@ -295,7 +343,8 @@ class CohomologyEngine:
         self._cache: dict[int, SubsetCohomology] = {}
         non_cones = {0}
         factors = []
-        for N in _minimal_non_faces(K):
+        non_faces = _minimal_non_faces(K)
+        for N in non_faces:
             non_cones |= {I | N for I in non_cones}
             for V in [V for V in factors if V & N]:
                 factors.remove(V)
@@ -303,7 +352,11 @@ class CohomologyEngine:
             factors.append(N)
         self._non_cones = non_cones
         self.factors = tuple(sorted(factors))
+        self.twins = tuple(
+            (c, tuple(masks.bit(v) for v in masks.vertices(c))) for c in _twin_classes(non_faces)
+        )
         self._betti_tables: dict[int, dict[int, dict[int, int]]] = {}
+        self._blocks: dict[tuple[int, int, int], list[list]] = {}
 
     def subset(self, I: int) -> SubsetCohomology:
         """K_I's cohomology, built on the first cached K_{I∖v} found for v ∈ I
@@ -321,6 +374,15 @@ class CohomologyEngine:
             cache[I] = sc
         return sc
 
+    def canon(self, I: int) -> int:
+        """The least mask of I's twin orbit: the lowest |I ∩ c| members of
+        each twin class c in place of I ∩ c."""
+        for c, members in self.twins:
+            inside = I & c
+            if inside:
+                I ^= inside ^ sum(members[: masks.card(inside)])
+        return I
+
     def is_cone(self, I: int) -> bool:
         """K_I is a cone on some vertex of I, so H̃*(K_I) = 0: I is not a
         union of minimal non-faces of K (module docstring)."""
@@ -334,7 +396,7 @@ class CohomologyEngine:
             return 0
         A = next((I & V for V in self.factors if I & V), I)
         if A == I:
-            return self.subset(I).betti(p)
+            return self.subset(self.canon(I)).betti(p)
         B = I ^ A  # A and B are not empty, so b_{-1} of either is 0
         return sum(self.rank(A, i) * self.rank(B, p - 1 - i) for i in range(p))
 
@@ -344,20 +406,26 @@ class CohomologyEngine:
 
         Computed once per engine and V over the unions of minimal non-faces,
         the only subsets that are not cones; a cone or an acyclic K_I has no
-        entry.
+        entry. Only canonical subsets are built; each other I shares the
+        entry of canon(I), which is smaller (module docstring).
         """
         if V is None:
             V = masks.full_mask(self.K.m)
         table = self._betti_tables.get(V)
         if table is None:
             table = {}
+            seen: dict[int, dict[int, int]] = {}
             for I in sorted(I for I in self._non_cones if not I & ~V):
-                sc = self.subset(I)
-                bettis = {}
-                for p in range(-1, sc.max_p + 1):
-                    b = sc.betti(p)
-                    if b:
-                        bettis[p] = b
+                R = self.canon(I)
+                bettis = seen.get(R)
+                if bettis is None:
+                    sc = self.subset(R)
+                    bettis = {}
+                    for p in range(-1, sc.max_p + 1):
+                        b = sc.betti(p)
+                        if b:
+                            bettis[p] = b
+                    seen[R] = bettis
                 if bettis:
                     table[I] = bettis
             self._betti_tables[V] = table
@@ -378,12 +446,58 @@ class CohomologyEngine:
             self._cache[I] = before._cache.pop(I)
 
     def psi(self, I: int, i: int, p: int) -> list[list]:
-        """Matrix of the restriction H̃^p(K_I) -> H̃^p(K_{I\\{i}}) in the stored bases."""
-        ibit = masks.bit(i)
-        src = self.subset(I).basis(p)
-        dst = self.subset(I & ~ibit).basis(p)
-        cols = []
-        for rep in src.representatives:
-            restricted = {s: c for s, c in rep.items() if not s & ibit}
-            cols.append(dst.express(restricted))
-        return [[cols[c][r] for c in range(src.rank)] for r in range(dst.rank)]
+        """Matrix of the restriction H̃^p(K_I) -> H̃^p(K_{I\\{i}}) in the stored bases.
+
+        It is the block of R = canon(I) and i′, the member of R's class at
+        i's place in I's class: R's representatives restricted to R∖i′,
+        pushed by the shift h that moves each member of that class above i′
+        down to the member below it, with the sign of h on each face, and
+        expressed in the basis of canon(R∖i′) (module docstring). The block
+        is cached when R's orbit has another member.
+        """
+        ibit = top = masks.bit(i)
+        R = I
+        shared = False
+        moves: list[tuple[int, int]] = []  # (from, to), each ``to`` vacant when it moves
+        for c, members in self.twins:
+            inside = I & c
+            if not inside:
+                continue
+            k = masks.card(inside)
+            R ^= inside ^ sum(members[:k])
+            shared = shared or inside != c
+            if ibit & c:
+                j = masks.card(inside & (ibit - 1))
+                ibit, top = members[j], members[k - 1]
+                moves = list(zip(members[j + 1 : k], members[j:k]))
+        key = (R, ibit, p)
+        block = self._blocks.get(key) if shared else None
+        if block is None:
+            src = self.subset(R).basis(p)
+            dst = self.subset(R ^ top).basis(p)
+            cols = []
+            for rep in src.representatives:
+                restricted = {s: c for s, c in rep.items() if not s & ibit}
+                if moves:
+                    restricted = _shifted(restricted, moves, self.field.p)
+                cols.append(dst.express(restricted))
+            block = [[cols[c][r] for c in range(src.rank)] for r in range(dst.rank)]
+            if shared:
+                self._blocks[key] = block
+        return block
+
+
+def _shifted(vec: dict, moves: list[tuple[int, int]], char: int) -> dict:
+    """h_* of a cochain, h moving each vertex v of ``moves`` down to its w in
+    turn: s goes to h(s), and its value changes sign when h is odd on s's
+    sorted vertices. Each move passes the vertices of s strictly between w
+    and v; no other member of the class lies there."""
+    out = {}
+    for s, c in vec.items():
+        for v, w in moves:
+            if s & v:
+                if masks.card(s & (v - 1) & -(w << 1)) % 2:
+                    c = char - c
+                s ^= v | w
+        out[s] = c
+    return out

@@ -1,6 +1,9 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -161,6 +164,21 @@ class TestRankCommands:
         assert json.loads(target.read_text())["hh_total"] == 4
         assert (tmp_path / "result.json.tmp").is_dir()
 
+    def test_out_fifo_is_written_in_place(self, capsys, square_file, tmp_path):
+        # a target that is not a regular file keeps its kind: no file is renamed over it
+        _, plain, _ = run_main(capsys, "hh", square_file)
+        fifo = tmp_path / "result.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, out, _ = run_main(capsys, "hh", square_file, "--out", str(fifo))
+        reader.join(timeout=10)
+        assert (code, out) == (0, "")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == [plain.encode()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.fifo", "square.json"]
+
     def test_unwritable_out(self, capsys, square_file, tmp_path):
         for target in (tmp_path / "absent" / "result.json", tmp_path):
             code, out, err = run_main(capsys, "hh", square_file, "--out", str(target))
@@ -231,6 +249,13 @@ class TestExitCodes:
 
         monkeypatch.setattr("machh.cli.h_ranks", fail)
         assert run_main(capsys, "h", square_file) == (code, "", f"{type(exc).__name__}: broken\n")
+
+    def test_memory_error_is_a_resource_limit(self, capsys, square_file, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("machh.cli.hh_ranks", fail)
+        assert run_main(capsys, "hh", square_file) == (3, "", "ResourceLimit: out of memory\n")
 
     def test_inherit_from_an_unrelated_engine_is_a_bug(self, capsys, square_file, monkeypatch):
         # a glued complex equal to K cannot take over K's subsets: exit 5, not an input error

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces
-from machh.double import assemble_row, hh_ranks
-from machh.errors import InternalInconsistency
+from machh.double import assemble_row, h_ranks, hh_ranks
+from machh.errors import InternalInconsistency, NotApplicable
 from machh.fields import prime_field
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
+from machh.theorem import verify_theorem1
 
 from conftest import (
+    brute_force_factors,
     complexes,
     dense_mul,
+    permute_complex,
     random_complex,
     relabelled_joins,
     rref_kernel_basis,
@@ -508,3 +511,133 @@ class TestVertexChain:
             for red in [*sc._delta.values(), *(basis._kernel for basis in sc._basis.values())]:
                 assert red.exprs is None, (K, masks.mask_str(sc.I))
                 assert all(type(row) is dict for row in red.rows.values()), (K, masks.mask_str(sc.I))
+
+
+def brute_force_twin_classes(K: M.SimplicialComplex) -> tuple[int, ...]:
+    """The twin classes with two or more members among the vertices of K's
+    join factors: a and b are twins when swapping them maps every face to a
+    face. Each transposition is applied to every face."""
+
+    def swaps_onto_faces(a, b):
+        ab = masks.bit(a) | masks.bit(b)
+        return all((f ^ ab if f & ab and f & ab != ab else f) in K.faces for f in K.faces)
+
+    classes: list[list[int]] = []
+    for v in masks.vertices(sum(brute_force_factors(K))):
+        for c in classes:
+            if swaps_onto_faces(c[0], v):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(sorted(masks.mask_of(c, K.m) for c in classes if len(c) > 1))
+
+
+def relabelled(K: M.SimplicialComplex, draw) -> M.SimplicialComplex:
+    perm = draw(st.permutations(range(1, K.m + 1)))
+    return permute_complex(K, {v: perm[v - 1] for v in range(1, K.m + 1)})
+
+
+@st.composite
+def relabelled_k2r(draw, max_r: int = 8):
+    """A k2r member on at most 8 vertices, relabelled."""
+    return relabelled(M.k2r_family(draw(st.integers(1, max_r))).complex, draw)
+
+
+@st.composite
+def with_isolated_vertices(draw, max_m: int = 7):
+    """A drawn complex plus one to three vertices in no edge, relabelled."""
+    K = draw(complexes(max_m=max_m - 1))
+    extra = draw(st.integers(1, min(3, max_m - K.m)))
+    facets = [masks.vertices(f) for f in K.facets] + [[v] for v in range(K.m + 1, K.m + extra + 1)]
+    return relabelled(M.SimplicialComplex.from_facets(K.m + extra, facets), draw)
+
+
+@st.composite
+def joins_with_two_points(draw, max_m: int = 7):
+    """A drawn complex joined with two points, relabelled."""
+    return relabelled(M.join(draw(complexes(max_m=max_m - 2)), M.two_points()), draw)
+
+
+def untransported(K: M.SimplicialComplex, field) -> CohomologyEngine:
+    """An engine that builds every subset itself: its twin classes are patched to none."""
+    eng = CohomologyEngine(K, field)
+    eng.twins = ()
+    return eng
+
+
+class TestTwinOrbits:
+    """Twin classes against a brute force, and the transported engine against
+    one that eliminates every subset itself."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(complexes(max_m=7) | with_isolated_vertices() | relabelled_k2r())
+    def test_twin_classes_match_brute_force(self, K):
+        eng = CohomologyEngine(K)
+        classes = tuple(c for c, _ in eng.twins)
+        assert classes == brute_force_twin_classes(K), K
+        for c, members in eng.twins:
+            assert sum(1 for V in eng.factors if V & c) == 1, (K, masks.mask_str(c))
+            assert members == tuple(masks.bit(v) for v in masks.vertices(c))
+        for I in range(1 << K.m):
+            R = eng.canon(I)
+            assert R <= I and masks.card(R) == masks.card(I), (K, masks.mask_str(I))
+            assert eng.canon(R) == R
+            if not eng.is_cone(I):
+                assert not eng.is_cone(R), (K, masks.mask_str(I))
+
+    def test_k2r_vertices_fall_in_twin_pairs(self):
+        # the square's two diagonals, then the two points of each join
+        for r in [1, 2, 9, 16, 33]:
+            K = M.k2r_family(r).complex
+            classes = [c for c, _ in CohomologyEngine(K).twins]
+            assert [masks.card(c) for c in classes] == [2] * (K.m // 2), r
+            assert sum(classes) == masks.full_mask(K.m), r
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relabelled_k2r() | with_isolated_vertices() | joins_with_two_points() | complexes(max_m=7),
+        FIELDS,
+    )
+    def test_transported_engine_equals_untransported(self, K, field):
+        eng, ref = CohomologyEngine(K, field), untransported(K, field)
+        assert eng.betti_table() == ref.betti_table(), K
+        for V in eng.factors:
+            assert eng.betti_table(V) == ref.betti_table(V), K
+        assert h_ranks(eng).entries == h_ranks(ref).entries, K
+        assert hh_ranks(eng).entries == hh_ranks(ref).entries, K
+        assert all(eng.canon(I) == I for I in eng._cache), K  # no other subset is built
+        char = field.p
+        for p in range(-1, K.dim() + 1):
+            row = assemble_row(eng, p)
+            for l, mat in row.matrices.items():
+                nxt = row.matrices.get(l + 1)
+                if mat and nxt:
+                    product = dense_mul(mat, nxt, 0)
+                    assert all(not (x % char if char else x) for r in product for x in r), (K, p, l)
+        for I, bettis in eng.betti_table().items():
+            for i in masks.vertices(I):
+                J = I & ~masks.bit(i)
+                if eng.canon(J) == J and eng.canon(I) == I:
+                    for p in bettis:
+                        assert eng.psi(I, i, p) == ref.psi(I, i, p), (K, masks.mask_str(I), i, p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(glued_pairs() | joins_with_two_points().flatmap(
+        lambda K: st.tuples(st.just(K), st.sampled_from(_minimal_non_faces(K)))
+    ), FIELDS)
+    def test_theorem1_and_glued_complexes_equal_untransported(self, pair, field):
+        K, sigma = pair
+        glued = M.glue_simplex(K, sigma)
+        assert hh_ranks(CohomologyEngine(glued, field)).entries == hh_ranks(untransported(glued, field)).entries
+
+        def outcome():
+            try:
+                return verify_theorem1(K, sigma, field)
+            except NotApplicable as exc:
+                return str(exc)
+
+        transported = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("machh.cohomology._twin_classes", lambda non_faces: ())
+            assert outcome() == transported, (K, masks.mask_str(sigma))
