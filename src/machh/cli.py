@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -68,21 +69,27 @@ def _emit(text: str, out: str | None) -> None:
 
     A file target is written to a fresh temporary file in its directory and
     renamed over the target, so concurrent runs never share a temporary name
-    and no partial or temporary file is left behind. A target that exists
+    and no partial or temporary file is left behind. A symlink is resolved
+    first, so the file it points to is replaced and the link stays. The new
+    file takes the permission bits of the one it replaces, or for a new file
+    0o666 minus the umask, as ``open`` would give it. A target that exists
     and is not a regular file, such as a device or a FIFO, is written in
     place: a rename would replace it.
     """
     if out is None:
         sys.stdout.write(text)
         return
-    target = Path(out)
+    target = Path(os.path.realpath(out))
     tmp = None
     try:
-        if target.exists() and not target.is_file():
+        existing = target.stat() if target.exists() else None
+        if existing and not stat.S_ISREG(existing.st_mode):
             with open(target, "w") as fh:
                 fh.write(text)
             return
+        os.umask(umask := os.umask(0))  # the umask is read by setting it
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        os.fchmod(fd, stat.S_IMODE(existing.st_mode) if existing else 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, target)

@@ -43,7 +43,11 @@ No elimination runs whose result is already fixed:
   and a row that K_J kept and K_I would clear is redundant, not wrong. The
   pivot set, ``rref_rows``, ``kernel_basis`` and ``basis`` depend only on the
   row space, so they equal those of K_I built from scratch. Parent and child
-  share the stored rows, which are never mutated (``SparseReducer``).
+  share the stored rows, which are never mutated (``SparseReducer``). A root
+  K_I, one with no cached parent, groups its faces inside I alone: each
+  p-face is a (p-1)-face g plus a vertex b of I above g's top vertex, so
+  it is made once, and with b in the outer loop the p-faces come out in
+  order, those with top vertex b after all with a lower top.
 - One subset per twin orbit. Vertices a and b are twins when swapping them
   maps the minimal non-faces onto themselves; as K is the set of masks that
   contain no minimal non-face, the swap is then an automorphism of K. Twins
@@ -143,12 +147,13 @@ class SubsetCohomology:
         self._parent = parent
         self.simplices: dict[int, list[int]] = {}
         if parent is None:
-            outside = ~I
-            for p, group in K.faces_by_dim.items():
-                group = [f for f in group if not f & outside]
-                if not group:
-                    break  # no p-face inside I, so no higher one either (K is closed)
+            # each face is a smaller one g plus a vertex b of I above g's top
+            bits = [masks.bit(v) for v in masks.vertices(I)]
+            group, p = [0], -1
+            while group:
                 self.simplices[p] = group
+                group = [f for b in bits for g in group if g < b and (f := g | b) in faces]
+                p += 1
         else:
             # the faces through v are the parent's faces plus v that are faces of K
             v = I ^ parent.I

@@ -29,12 +29,11 @@ class SimplicialComplex:
     empty complex ``{∅}`` arising from restriction to the empty subset.
     """
 
-    __slots__ = ("m", "faces", "_by_dim")
+    __slots__ = ("m", "faces")
 
     def __init__(self, m: int, faces: frozenset[int]):
         self.m = m
         self.faces = faces
-        self._by_dim: dict[int, tuple[int, ...]] | None = None
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -80,18 +79,6 @@ class SimplicialComplex:
             ):
                 out.append(f)
         return tuple(sorted(out, key=masks.vertices))
-
-    @property
-    def faces_by_dim(self) -> dict[int, tuple[int, ...]]:
-        """Faces grouped by dimension, in increasing dimension (the empty face
-        has -1), each group in the keys' own ``<`` order (cached). Filtering
-        a group keeps it ordered, so a full subcomplex never sorts."""
-        if self._by_dim is None:
-            groups: dict[int, list[int]] = {}
-            for f in self.faces:
-                groups.setdefault(masks.card(f) - 1, []).append(f)
-            self._by_dim = {p: tuple(sorted(g)) for p, g in sorted(groups.items())}
-        return self._by_dim
 
     def dim(self) -> int:
         return max(masks.card(f) for f in self.faces) - 1

@@ -179,6 +179,41 @@ class TestRankCommands:
         assert received == [plain.encode()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["result.fifo", "square.json"]
 
+    def test_out_symlink_writes_the_file_it_points_to(self, capsys, square_file, tmp_path):
+        _, plain, _ = run_main(capsys, "hh", square_file)
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "result.json"
+        real.write_text("old")
+        link = tmp_path / "result.json"
+        link.symlink_to(real)
+        code, out, _ = run_main(capsys, "hh", square_file, "--out", str(link))
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == plain
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "result.json", "square.json"]
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["result.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+    def test_out_new_file_mode_follows_the_umask(self, capsys, tmp_path, umask):
+        target = tmp_path / "result.json"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_main(capsys, "construct", "k2r", "--r", "1", "--out", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("mode", [0o644, 0o604, 0o600], ids=oct)
+    def test_out_existing_file_keeps_its_mode(self, capsys, tmp_path, mode):
+        target = tmp_path / "result.json"
+        target.write_text("old")
+        target.chmod(mode)
+        code, out, _ = run_main(capsys, "construct", "k2r", "--r", "1", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert stat.S_IMODE(os.stat(target).st_mode) == mode
+        assert json.loads(target.read_text())
+
     def test_unwritable_out(self, capsys, square_file, tmp_path):
         for target in (tmp_path / "absent" / "result.json", tmp_path):
             code, out, err = run_main(capsys, "hh", square_file, "--out", str(target))

@@ -641,3 +641,41 @@ class TestTwinOrbits:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("machh.cohomology._twin_classes", lambda non_faces: ())
             assert outcome() == transported, (K, masks.mask_str(sigma))
+
+
+def filtered_faces(K: M.SimplicialComplex, I: int) -> dict[int, list[int]]:
+    """K_I's faces grouped by dimension, by filtering and sorting every face of K."""
+    groups: dict[int, list[int]] = {}
+    for f in sorted(K.faces):
+        if not f & ~I:
+            groups.setdefault(masks.card(f) - 1, []).append(f)
+    return groups
+
+
+class TestFaceGrouping:
+    """Every subset's ``simplices``, built as a root or on a chain parent,
+    against a filter of all of K that shares no code with either branch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_k2r() | with_isolated_vertices() | joins_with_two_points() | complexes(max_m=7))
+    def test_root_and_chained_subsets_group_the_faces_inside_them(self, K):
+        eng = CohomologyEngine(K)
+        build_every_subset(eng, None)  # increasing, so every nonempty I has a parent
+        for I in range(1 << K.m):
+            ref = filtered_faces(K, I)
+            assert SubsetCohomology(K, I).simplices == ref, (K, masks.mask_str(I))
+            assert eng.subset(I).simplices == ref, (K, masks.mask_str(I))
+
+    @settings(max_examples=40, deadline=None)
+    @given(glued_pairs() | joins_with_two_points().flatmap(
+        lambda K: st.tuples(st.just(K), st.sampled_from(_minimal_non_faces(K)))
+    ), st.none() | st.randoms(use_true_random=False))
+    def test_glued_engine_groups_the_faces_after_inherit(self, pair, rng):
+        K, sigma = pair
+        before = CohomologyEngine(K)
+        hh_ranks(before)
+        glued = CohomologyEngine(M.glue_simplex(K, sigma))
+        glued.inherit(before, sigma)
+        build_every_subset(glued, rng)
+        for I in range(1 << K.m):
+            assert glued.subset(I).simplices == filtered_faces(glued.K, I), (K, masks.mask_str(I))
