@@ -18,7 +18,7 @@ from .complexes import (
 )
 from .cohomology import CohomologyBasis, CohomologyEngine
 from .double import BigradedRankTable, RowComplex, assemble_row, h_ranks, hh_ranks
-from .fields import RATIONALS, Field, prime_field
+from .fields import prime_field
 from .oracle import oracle_hh_rows, oracle_reduced_betti
 from .theorem import Thm1Report, Thm1Verification, check_theorem1, verify_theorem1
 from . import errors, masks
@@ -40,8 +40,6 @@ __all__ = [
     "assemble_row",
     "h_ranks",
     "hh_ranks",
-    "RATIONALS",
-    "Field",
     "prime_field",
     "oracle_reduced_betti",
     "oracle_hh_rows",

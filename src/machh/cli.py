@@ -22,7 +22,7 @@ from .cohomology import DEFAULT_MAX_M, CohomologyEngine
 from .complexes import glue_simplex, join, k2r_family, k2r_vertex_count, wedge
 from .double import h_ranks, hh_ranks
 from .errors import MachhError, ParseError, ResourceLimit
-from .fields import RATIONALS, Field, prime_field
+from .fields import prime_field
 from .oracle import ORACLE_HH_M_CAP, oracle_hh_rows
 from .serialization import (
     complex_to_dict,
@@ -35,9 +35,10 @@ from .serialization import (
 from .theorem import verify_theorem1
 
 
-def _parse_field(spec: str) -> Field:
+def _parse_field(spec: str) -> int:
+    """The characteristic that ``--field`` names: 0 for q, p for gf:<p>."""
     if spec == "q":
-        return RATIONALS
+        return 0
     if spec.startswith("gf:"):
         try:
             p = int(spec[3:])
@@ -57,11 +58,11 @@ def _parse_vertex_list(spec: str) -> list[int]:
         raise ParseError(f"bad vertex list {spec!r}")
 
 
-def _field_and_cap(args) -> tuple[Field, int]:
+def _field_and_cap(args) -> tuple[int, int]:
     """The validated ``--field`` and ``--max-m`` of a computing subcommand."""
     if args.max_m < 1 or args.max_m > masks.MAX_GROUND_SET:
         raise ParseError(f"--max-m must be in 1..{masks.MAX_GROUND_SET}")
-    return _parse_field(args.field), args.max_m
+    return _parse_field(args.field_spec), args.max_m
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -115,7 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def flags(p, compute=False, fmt=False, verify=False):
         """Add the flags a subcommand reads; every subcommand takes --out."""
         if compute:
-            p.add_argument("--field", default="q", help="q (exact rationals) or gf:<odd prime>")
+            p.add_argument(
+                "--field",
+                dest="field_spec",
+                metavar="FIELD",
+                default="q",
+                help="q (exact rationals) or gf:<odd prime>",
+            )
             p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M, help="resource cap on m")
         p.add_argument("--out", default=None, help="write output to this path")
         if fmt:
@@ -180,15 +187,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ranks(args, want_hh: bool) -> int:
-    field, max_m = _field_and_cap(args)
+    char, max_m = _field_and_cap(args)
     K = load_complex(args.input, max_m)
-    engine = CohomologyEngine(K, field, max_m)
+    engine = CohomologyEngine(K, char, max_m)
     h = h_ranks(engine)
     hh = hh_ranks(engine) if want_hh else None
     del engine  # free its subsets before --verify-exact builds a second engine
-    doc = result_document(K.m, field.name, h=h, hh=hh)
-    if want_hh and args.verify_exact and field is not RATIONALS:
-        exact = hh_ranks(CohomologyEngine(K, RATIONALS, max_m))
+    doc = result_document(K.m, char, h=h, hh=hh)
+    if want_hh and args.verify_exact and char:
+        exact = hh_ranks(CohomologyEngine(K, 0, max_m))
         if exact.entries != hh.entries:
             sys.stderr.write("VerificationMismatch: gf ranks differ from exact rational ranks\n")
             return 5
@@ -223,10 +230,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check_thm1(args) -> int:
-    field, max_m = _field_and_cap(args)
+    char, max_m = _field_and_cap(args)
     K = load_complex(args.input, max_m)
     sigma = masks.mask_of(_parse_vertex_list(args.sigma), K.m)
-    result = verify_theorem1(K, sigma, field, max_m)
+    result = verify_theorem1(K, sigma, char, max_m)
     rep = result.report
     doc = {
         "sigma": list(masks.vertices(sigma)),
@@ -252,7 +259,7 @@ def _cmd_check_thm1(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    field, max_m = _field_and_cap(args)
+    char, max_m = _field_and_cap(args)
     if args.r_max < 1:
         raise ParseError("--r-max must be >= 1")
     m = k2r_vertex_count(args.r_max)  # non-decreasing in r, so the last member is the largest
@@ -262,7 +269,7 @@ def _cmd_ladder(args) -> int:
     all_pass = True
     for r in range(1, args.r_max + 1):
         K = k2r_family(r).complex
-        rank = hh_ranks(CohomologyEngine(K, field, max_m)).total()
+        rank = hh_ranks(CohomologyEngine(K, char, max_m)).total()
         ok = rank == 2 * r
         all_pass = all_pass and ok
         rows.append({"r": r, "m": K.m, "rank": rank, "expected": 2 * r, "pass": ok})

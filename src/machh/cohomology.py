@@ -9,7 +9,9 @@ No elimination runs whose result is already fixed:
 - A cone K_I has H̃* = 0, so ``CohomologyEngine.rank`` answers 0 for it
   without building a ``SubsetCohomology``. K_I is a cone on v ∈ I exactly
   when no minimal non-face N of K with v ∈ N lies inside I, so the non-cones
-  are the unions of minimal non-faces; the engine lists them once.
+  are the unions of minimal non-faces. ``is_cone(I)`` asks whether those
+  inside I cover I, and ``betti_table(V)`` enumerates the unions of those
+  inside V, one join factor at a time.
 - Clearing (the "twist" of Chen–Kerber, EuroCG 2011). ``delta_reducer(p)``
   leaves out the boundary row of every (p+1)-simplex t that is a pivot of
   ``delta_reducer(p+1)``. That reducer's row with pivot t is a boundary,
@@ -69,7 +71,6 @@ from __future__ import annotations
 from . import masks
 from .complexes import SimplicialComplex
 from .errors import InternalInconsistency, ResourceLimit
-from .fields import RATIONALS, Field
 from .linalg import SparseReducer, kernel_basis
 
 DEFAULT_MAX_M = 22
@@ -125,11 +126,12 @@ class CohomologyBasis:
 
 
 class SubsetCohomology:
-    """All cochain degrees of one full subcomplex K_I, computed lazily."""
+    """All cochain degrees of one full subcomplex K_I over the field of
+    characteristic ``char`` (0 for Q), computed lazily."""
 
     __slots__ = (
         "I",
-        "field",
+        "char",
         "simplices",
         "faces",
         "max_p",
@@ -138,11 +140,9 @@ class SubsetCohomology:
         "_basis",
     )
 
-    def __init__(
-        self, K: SimplicialComplex, I: int, field: Field = RATIONALS, parent: SubsetCohomology | None = None
-    ):
+    def __init__(self, K: SimplicialComplex, I: int, char: int = 0, parent: SubsetCohomology | None = None):
         self.I = I
-        self.field = field
+        self.char = char
         self.faces = faces = K.faces
         self._parent = parent
         self.simplices: dict[int, list[int]] = {}
@@ -176,7 +176,7 @@ class SubsetCohomology:
         it is a p-simplex of K_I exactly when it is a face of K.
         """
         faces = self.faces
-        sign, other = 1, self.field.p - 1
+        sign, other = 1, self.char - 1
         vec = {}
         rest = self.I
         while rest:
@@ -203,13 +203,13 @@ class SubsetCohomology:
         if red is None:
             cleared = self.delta_reducer(p + 1).rows if p + 2 in self.simplices else {}
             parent = self._parent
-            red = SparseReducer(self.field.p)
+            red = SparseReducer(self.char)
             if parent is None:
                 new = self.I  # every face but the empty one, whose row is zero
             else:
                 new = self.I ^ parent.I
                 red.rows.update(parent.delta_reducer(p).rows)
-            minus_one = self.field.p - 1
+            minus_one = self.char - 1
             for t in self.simplices.get(p + 1, ()):
                 if not t & new or t in cleared:
                     continue
@@ -238,7 +238,7 @@ class SubsetCohomology:
         cached = self._basis.get(p)
         if cached is not None:
             return cached
-        char = self.field.p
+        char = self.char
         if p not in self.simplices:
             basis = CohomologyBasis([], {}, SparseReducer(char))
             self._basis[p] = basis
@@ -270,23 +270,24 @@ class SubsetCohomology:
 def _minimal_non_faces(K: SimplicialComplex) -> tuple[int, ...]:
     """The masks N ∉ K whose every N minus one vertex is a face, increasing.
 
-    Each is a face plus one vertex, so only those are tried.
+    Each is the face N minus its top vertex plus that vertex, so only a face
+    f plus a vertex above f's top vertex is tried, and each candidate once.
     """
     faces = K.faces
-    found = set()
+    found = []
     for f in faces:
-        for i in range(K.m):
+        for i in range(f.bit_length(), K.m):
             N = f | 1 << i
-            if N in faces or N in found:
+            if N in faces:
                 continue
-            rest = N
+            rest = f
             while rest:
                 low = rest & -rest
                 rest ^= low
                 if N ^ low not in faces:
                     break
             else:
-                found.add(N)
+                found.append(N)
     return tuple(sorted(found))
 
 
@@ -324,9 +325,12 @@ class CohomologyEngine:
 
     One engine serves every computation of a request on that (K, field) pair,
     so each full subcomplex is grouped and eliminated at most once, only one
-    per twin orbit is, and a cone K_I is never built for a rank. The engine is the only place a request
-    names its complex, field and vertex cap: a K with more than ``max_m``
-    vertices raises ``ResourceLimit`` before any work.
+    per twin orbit is, and a cone K_I is never built for a rank. The engine
+    is the only place a request names its complex, field and vertex cap: a K
+    with more than ``max_m`` vertices raises ``ResourceLimit`` before any
+    work. The field is its characteristic ``char``, 0 for Q. Besides K, the
+    engine keeps K's minimal non-faces; ``is_cone``, ``betti_table``,
+    ``factors`` and ``twins`` are all worked out from them.
 
     ``factors`` are the vertex sets V of K's join factors, as masks,
     increasing: the minimal non-faces merged wherever they share a vertex.
@@ -340,22 +344,19 @@ class CohomologyEngine:
     (module docstring). A twin-free K has no classes.
     """
 
-    def __init__(self, K: SimplicialComplex, field: Field = RATIONALS, max_m: int = DEFAULT_MAX_M):
+    def __init__(self, K: SimplicialComplex, char: int = 0, max_m: int = DEFAULT_MAX_M):
         if K.m > max_m:
             raise ResourceLimit(f"m = {K.m} exceeds the configured cap {max_m}")
         self.K = K
-        self.field = field
+        self.char = char
         self._cache: dict[int, SubsetCohomology] = {}
-        non_cones = {0}
+        self._non_faces = non_faces = _minimal_non_faces(K)
         factors = []
-        non_faces = _minimal_non_faces(K)
         for N in non_faces:
-            non_cones |= {I | N for I in non_cones}
             for V in [V for V in factors if V & N]:
                 factors.remove(V)
                 N |= V
             factors.append(N)
-        self._non_cones = non_cones
         self.factors = tuple(sorted(factors))
         self.twins = tuple(
             (c, tuple(masks.bit(v) for v in masks.vertices(c))) for c in _twin_classes(non_faces)
@@ -375,7 +376,7 @@ class CohomologyEngine:
                 low = rest & -rest
                 rest ^= low
                 parent = cache.get(I ^ low)
-            sc = SubsetCohomology(self.K, I, self.field, parent)
+            sc = SubsetCohomology(self.K, I, self.char, parent)
             cache[I] = sc
         return sc
 
@@ -389,9 +390,13 @@ class CohomologyEngine:
         return I
 
     def is_cone(self, I: int) -> bool:
-        """K_I is a cone on some vertex of I, so H̃*(K_I) = 0: I is not a
-        union of minimal non-faces of K (module docstring)."""
-        return I not in self._non_cones
+        """K_I is a cone on some vertex of I, so H̃*(K_I) = 0: the minimal
+        non-faces of K inside I do not cover I (module docstring)."""
+        cover = 0
+        for N in self._non_faces:
+            if not N & ~I:
+                cover |= N
+        return cover != I
 
     def rank(self, I: int, p: int) -> int:
         """dim H̃^p(K_I), with no build for a cone K_I. An I that meets several
@@ -409,10 +414,11 @@ class CohomologyEngine:
         """The nonzero reduced Betti numbers ``{I: {p: b}}`` over the subsets
         I of V (every vertex by default), I increasing.
 
-        Computed once per engine and V over the unions of minimal non-faces,
-        the only subsets that are not cones; a cone or an acyclic K_I has no
-        entry. Only canonical subsets are built; each other I shares the
-        entry of canon(I), which is smaller (module docstring).
+        Computed once per engine and V over the unions of the minimal
+        non-faces inside V, the only subsets of V that are not cones; a cone
+        or an acyclic K_I has no entry. Only canonical subsets are built;
+        each other I shares the entry of canon(I), which is smaller (module
+        docstring).
         """
         if V is None:
             V = masks.full_mask(self.K.m)
@@ -420,7 +426,11 @@ class CohomologyEngine:
         if table is None:
             table = {}
             seen: dict[int, dict[int, int]] = {}
-            for I in sorted(I for I in self._non_cones if not I & ~V):
+            non_cones = {0}
+            for N in self._non_faces:
+                if not N & ~V:
+                    non_cones |= {I | N for I in non_cones}
+            for I in sorted(non_cones):
                 R = self.canon(I)
                 bettis = seen.get(R)
                 if bettis is None:
@@ -445,7 +455,7 @@ class CohomologyEngine:
         the two engines are not held twice. Any other pair of engines is a
         caller bug and raises ``InternalInconsistency``.
         """
-        if self.field != before.field or self.K.faces != before.K.faces | {sigma}:
+        if self.char != before.char or self.K.faces != before.K.faces | {sigma}:
             raise InternalInconsistency("this engine's complex is not the other's with sigma glued")
         for I in [I for I in before._cache if sigma & ~I]:
             self._cache[I] = before._cache.pop(I)
@@ -460,18 +470,17 @@ class CohomologyEngine:
         expressed in the basis of canon(R∖i′) (module docstring). The block
         is cached when R's orbit has another member.
         """
+        R = self.canon(I)
         ibit = top = masks.bit(i)
-        R = I
         shared = False
         moves: list[tuple[int, int]] = []  # (from, to), each ``to`` vacant when it moves
         for c, members in self.twins:
             inside = I & c
             if not inside:
                 continue
-            k = masks.card(inside)
-            R ^= inside ^ sum(members[:k])
             shared = shared or inside != c
             if ibit & c:
+                k = masks.card(inside)
                 j = masks.card(inside & (ibit - 1))
                 ibit, top = members[j], members[k - 1]
                 moves = list(zip(members[j + 1 : k], members[j:k]))
@@ -484,7 +493,7 @@ class CohomologyEngine:
             for rep in src.representatives:
                 restricted = {s: c for s, c in rep.items() if not s & ibit}
                 if moves:
-                    restricted = _shifted(restricted, moves, self.field.p)
+                    restricted = _shifted(restricted, moves, self.char)
                 cols.append(dst.express(restricted))
             block = [[cols[c][r] for c in range(src.rank)] for r in range(dst.rank)]
             if shared:

@@ -35,7 +35,6 @@ from functools import cached_property
 
 from . import masks
 from .cohomology import CohomologyEngine
-from .fields import Field
 from .linalg import dense_rank
 
 __all__ = [
@@ -94,10 +93,6 @@ class RowComplex:
     dims: dict
     engine: CohomologyEngine
 
-    @property
-    def field(self) -> Field:
-        return self.engine.field
-
     @cached_property
     def matrices(self) -> dict:
         """``{l: block differential from l to l - 1}`` as dense lists of lists."""
@@ -119,7 +114,7 @@ class RowComplex:
                 mat.extend(kept)
             pos += b
         engine, p = self.engine, self.p
-        char = engine.field.p
+        char = engine.char
         col = 0
         for I, b in self.groups[l]:
             for i in masks.vertices(I):
@@ -148,7 +143,7 @@ class RowComplex:
             pivots: set = set()
             if l - 1 in self.groups:
                 mat = self._block(l, cleared)
-                ranks[l] = dense_rank(mat, self.field.p, pivots) if mat else 0
+                ranks[l] = dense_rank(mat, self.engine.char, pivots) if mat else 0
             cleared = pivots
         out = {}
         for l, dim in self.dims.items():

@@ -77,11 +77,12 @@ def table_to_json_dict(table: BigradedRankTable) -> dict:
 
 def result_document(
     m: int,
-    field_name: str,
+    char: int,
     h: BigradedRankTable | None = None,
     hh: BigradedRankTable | None = None,
 ) -> dict:
-    doc: dict = {"m": m, "field": field_name}
+    """The result of ``h``/``hh`` over Q (``char`` 0) or GF(char)."""
+    doc: dict = {"m": m, "field": f"GF({char})" if char else "Q"}
     if h is not None:
         doc["h"] = table_to_json_dict(h)
     if hh is not None:

@@ -10,7 +10,6 @@ from .cohomology import DEFAULT_MAX_M, CohomologyEngine
 from .complexes import SimplicialComplex, glue_simplex
 from .double import hh_ranks
 from .errors import BadSigma, NotApplicable
-from .fields import RATIONALS, Field
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def check_theorem1(engine: CohomologyEngine, sigma: int) -> Thm1Report:
 def verify_theorem1(
     K: SimplicialComplex,
     sigma: int,
-    field: Field = RATIONALS,
+    char: int = 0,
     max_m: int = DEFAULT_MAX_M,
 ) -> Thm1Verification:
     """Compare double cohomology before and after gluing sigma.
@@ -116,7 +115,7 @@ def verify_theorem1(
     Both engines are built here, not passed in, so that no caller still holds
     K's engine when it is dropped before the glued engine builds a subset.
     """
-    engine = CohomologyEngine(K, field, max_m)
+    engine = CohomologyEngine(K, char, max_m)
     report = check_theorem1(engine, sigma)
     if not report.applicable:
         raise NotApplicable(
@@ -124,7 +123,7 @@ def verify_theorem1(
         )
     n = report.n
     before = hh_ranks(engine)
-    glued_engine = CohomologyEngine(glue_simplex(K, sigma), field, max_m)
+    glued_engine = CohomologyEngine(glue_simplex(K, sigma), char, max_m)
     glued_engine.inherit(engine, sigma)
     del engine  # free K's subsets that contain sigma before the glued engine builds any
     after = hh_ranks(glued_engine)

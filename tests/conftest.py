@@ -131,7 +131,7 @@ def reference_rank(mat: list[list], char: int) -> int:
 def uncleared_row_ranks(row: M.RowComplex) -> dict:
     """A row's cohomology ranks ``{l: rank}`` from its full blocks
     ``row.matrices``, every one ranked by ``reference_rank``."""
-    ranks = {l: reference_rank(mat, row.field.p) for l, mat in row.matrices.items()}
+    ranks = {l: reference_rank(mat, row.engine.char) for l, mat in row.matrices.items()}
     out = {}
     for l, dim in row.dims.items():
         r = dim - ranks.get(l, 0) - ranks.get(l + 1, 0)

@@ -34,10 +34,10 @@ def test_counts():
     assert [len(labelled_complexes(m)) for m in range(1, 5)] == [1, 2, 9, 114]
 
 
-@pytest.mark.parametrize("field", [M.RATIONALS, M.prime_field(32003)], ids=["Q", "gf:32003"])
-def test_engine_equals_oracle(field):
+@pytest.mark.parametrize("char", [0, M.prime_field(32003)], ids=["Q", "gf:32003"])
+def test_engine_equals_oracle(char):
     for K in CENSUS:
-        assert hh_ranks(CohomologyEngine(K, field)).rows() == oracle_hh_rows(K), K
+        assert hh_ranks(CohomologyEngine(K, char)).rows() == oracle_hh_rows(K), K
 
 
 def test_theorem1_on_every_admissible_sigma():

@@ -140,12 +140,12 @@ class TestVerifyTheorem1:
             moved.append(list(self._cache))
 
         for K, sigma in cases:
-            for field in (M.RATIONALS, M.prime_field(32003)):
+            for char in (0, M.prime_field(32003)):
                 monkeypatch.setattr(CohomologyEngine, "inherit", spy)
-                inherited = verify_theorem1(K, sigma, field)
+                inherited = verify_theorem1(K, sigma, char)
                 monkeypatch.setattr(CohomologyEngine, "inherit", lambda self, before, sigma: None)
-                fresh = verify_theorem1(K, sigma, field)
-                assert inherited == fresh, (K, sigma, field)
+                fresh = verify_theorem1(K, sigma, char)
+                assert inherited == fresh, (K, sigma, char)
                 subsets = moved.pop()
                 assert subsets and all(sigma & ~I for I in subsets), (K, sigma)
 
