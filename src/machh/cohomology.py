@@ -417,7 +417,8 @@ class CohomologyEngine:
         Computed once per engine and V over the unions of the minimal
         non-faces inside V, the only subsets of V that are not cones; a cone
         or an acyclic K_I has no entry. Only canonical subsets are built;
-        each other I shares the entry of canon(I), which is smaller (module
+        each other I shares the entry of canon(I), which is smaller and a
+        non-cone of V too, so the increasing walk has already met it (module
         docstring).
         """
         if V is None:
@@ -425,22 +426,17 @@ class CohomologyEngine:
         table = self._betti_tables.get(V)
         if table is None:
             table = {}
-            seen: dict[int, dict[int, int]] = {}
             non_cones = {0}
             for N in self._non_faces:
                 if not N & ~V:
                     non_cones |= {I | N for I in non_cones}
             for I in sorted(non_cones):
                 R = self.canon(I)
-                bettis = seen.get(R)
-                if bettis is None:
+                if R != I:
+                    bettis = table.get(R)
+                else:
                     sc = self.subset(R)
-                    bettis = {}
-                    for p in range(-1, sc.max_p + 1):
-                        b = sc.betti(p)
-                        if b:
-                            bettis[p] = b
-                    seen[R] = bettis
+                    bettis = {p: b for p in range(-1, sc.max_p + 1) if (b := sc.betti(p))}
                 if bettis:
                     table[I] = bettis
             self._betti_tables[V] = table

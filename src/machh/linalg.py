@@ -133,16 +133,20 @@ class SparseReducer:
         return {k: p - c for k, c in expr.items()}
 
     def rref_rows(self) -> list:
-        """Fully reduced rows as (pivot, vector), sorted by pivot."""
-        items = sorted(self.rows.items())
-        vecs = [dict(v) for _, v in items]
-        for idx in range(len(items) - 1, 0, -1):
-            piv = items[idx][0]
-            for j in range(idx):
-                c = vecs[j].get(piv)
-                if c:
-                    addmul(vecs[j], vecs[idx], -c, self.p)
-        return [(items[i][0], vecs[i]) for i in range(len(items))]
+        """Fully reduced rows as (pivot, vector), sorted by pivot.
+
+        Rows are reduced from the last pivot down: each subtracts the rows
+        already reduced at the pivot columns it holds. Those rows are zero at
+        one another's pivots, so one pass per row suffices.
+        """
+        p = self.p
+        done: dict = {}
+        for piv in sorted(self.rows, reverse=True):
+            vec = dict(self.rows[piv])
+            for q in [q for q in vec if q in done]:
+                addmul(vec, done[q], -vec[q], p)
+            done[piv] = vec
+        return sorted(done.items())
 
 
 def kernel_basis(reducer: SparseReducer, columns: Sequence) -> list[dict]:

@@ -1,11 +1,15 @@
+import json
 import random
 
 import pytest
 
 import machh as M
-from machh import masks
+from machh import masks, theorem
+from machh.cli import main
 from machh.cohomology import CohomologyEngine
+from machh.double import BigradedRankTable
 from machh.errors import BadSigma, InternalInconsistency, NotApplicable
+from machh.serialization import complex_to_dict
 from machh.theorem import check_theorem1, verify_theorem1
 
 from conftest import permute_complex, random_complex, random_permutation
@@ -121,6 +125,36 @@ class TestVerifyTheorem1:
                 assert v.rows_after.get(n, 0) == v.rows_before.get(n, 0) - 1
             else:
                 assert v.rows_after.get(n, 0) == v.rows_before.get(n, 0) + 1
+
+    @pytest.mark.parametrize("after", [{(0, 0): 1}, {(0, 0): 1, (0, 4): 1}])
+    def test_rows_the_theorem_moves_are_checked_when_neither_side_has_them(
+        self, case2_complex, monkeypatch, after
+    ):
+        # the side before has only row -1, so its row 0 cannot lose one, whatever row 1 does
+        tables = iter([BigradedRankTable({(0, 0): 1}), BigradedRankTable(after)])
+        monkeypatch.setattr(theorem, "hh_ranks", lambda engine: next(tables))
+        v = verify_theorem1(case2_complex, mask([1, 2], 4))
+        assert v.report.applicable and v.report.witnessing_J is None
+        assert v.rows_before == {-1: 1}
+        assert v.rows_after.get(0, 0) == 0
+        assert not v.verdict
+
+    def test_unchanged_rows_fail_the_witness_case(self, square, monkeypatch):
+        monkeypatch.setattr(theorem, "hh_ranks", lambda engine: BigradedRankTable({(0, 0): 1}))
+        v = verify_theorem1(square, mask([1, 3], 4))
+        assert v.report.witnessing_J is not None
+        assert not v.verdict
+
+    def test_check_thm1_exits_5_on_rows_neither_side_has(
+        self, case2_complex, monkeypatch, tmp_path, capsys
+    ):
+        path = tmp_path / "case2.json"
+        path.write_text(json.dumps(complex_to_dict(case2_complex)))
+        monkeypatch.setattr(theorem, "hh_ranks", lambda engine: BigradedRankTable({(0, 0): 1}))
+        assert main(["check-thm1", str(path), "1,2"]) == 5
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verdict"] == "fail"
+        assert err.startswith("VerdictMismatch:")
 
     def test_inherited_subsets_match_a_fresh_engine(self, square, monkeypatch):
         rng = random.Random(17)
