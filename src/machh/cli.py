@@ -23,7 +23,6 @@ from .complexes import glue_simplex, join, k2r_family, k2r_vertex_count, wedge
 from .double import h_ranks, hh_ranks
 from .errors import MachhError, ParseError, ResourceLimit
 from .fields import prime_field
-from .oracle import ORACLE_HH_M_CAP, oracle_hh_rows
 from .serialization import (
     complex_to_dict,
     load_complex,
@@ -53,9 +52,12 @@ def _parse_field(spec: str) -> int:
 
 def _parse_vertex_list(spec: str) -> list[int]:
     try:
-        return [int(x) for x in spec.split(",") if x.strip() != ""]
+        verts = [int(x) for x in spec.split(",") if x.strip() != ""]
     except ValueError:
         raise ParseError(f"bad vertex list {spec!r}")
+    if len(set(verts)) != len(verts):
+        raise ParseError(f"repeated vertex in {spec!r}")
+    return verts
 
 
 def _field_and_cap(args) -> tuple[int, int]:
@@ -178,11 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lad.add_argument("--r-max", type=int, required=True)
     flags(p_lad, compute=True, fmt=True)
 
-    p_orc = sub.add_parser("oracle", help=argparse.SUPPRESS)
-    p_orc.set_defaults(run=_cmd_oracle)
-    p_orc.add_argument("input")
-    flags(p_orc)
-
     return parser
 
 
@@ -285,18 +282,6 @@ def _cmd_ladder(args) -> int:
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0 if all_pass else 5
-
-
-def _cmd_oracle(args) -> int:
-    K = load_complex(args.input, ORACLE_HH_M_CAP)
-    rows = oracle_hh_rows(K)
-    doc = {
-        "m": K.m,
-        "hh_rows": {str(p): r for p, r in rows.items()},
-        "hh_total": sum(rows.values()),
-    }
-    _emit(render_json(doc), args.out)
-    return 0
 
 
 def _run(argv) -> int:

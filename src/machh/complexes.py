@@ -97,17 +97,6 @@ class SimplicialComplex:
         return f"SimplicialComplex(m={self.m}, facets=[{', '.join(masks.mask_str(f) for f in self.facets)}])"
 
 
-def full_subcomplex(K: SimplicialComplex, I: int) -> SimplicialComplex:
-    """Restriction of K to the subset I, relabeled to [|I|] preserving order."""
-    verts = masks.vertices(I)
-    relabel = {v: i + 1 for i, v in enumerate(verts)}
-    new_faces = set()
-    for f in K.faces:
-        if f & ~I == 0:
-            new_faces.add(masks.mask_of((relabel[v] for v in masks.vertices(f)), len(verts)))
-    return SimplicialComplex(len(verts), frozenset(new_faces))
-
-
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join: L's vertices are shifted past K's ground set."""
     _check_ground_set(K.m + L.m)

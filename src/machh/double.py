@@ -31,7 +31,6 @@ row space, hence the pivots, of the full one, so the ranks are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import masks
 from .cohomology import CohomologyEngine
@@ -84,8 +83,7 @@ class RowComplex:
     and ``dims[l]`` is their total. The block differential from cardinality l
     to l - 1 has its rows indexed by the level-(l-1) basis and its columns by
     the level-l basis, with entries in the engine's field. ``cohomology_ranks``
-    builds only the rows that clearing keeps (module docstring); ``matrices``
-    holds every block in full, as a reference view that no request reads.
+    builds only the rows that clearing keeps (module docstring).
     """
 
     p: int
@@ -93,12 +91,7 @@ class RowComplex:
     dims: dict
     engine: CohomologyEngine
 
-    @cached_property
-    def matrices(self) -> dict:
-        """``{l: block differential from l to l - 1}`` as dense lists of lists."""
-        return {l: self._block(l) for l in self.groups if l - 1 in self.groups}
-
-    def _block(self, l: int, cleared=frozenset()) -> list[list]:
+    def _block(self, l: int, cleared) -> list[list]:
         """The rows of the differential from l to l - 1 whose index is not in
         ``cleared``, with the sign (-1)**(p+1) * epsilon(i, I) on the block
         (I, I\\{i}). A target J whose rows are all cleared costs no ``psi``."""

@@ -31,13 +31,6 @@ def complex_from_dict(doc: dict, max_m: int | None = None) -> SimplicialComplex:
         isinstance(f, list) and all(_is_int(v) for v in f) for f in facets
     ):
         raise ParseError('"facets" must be a list of integer vertex lists')
-    labels = doc.get("labels")
-    if labels is not None and (
-        not isinstance(labels, list)
-        or len(labels) != m
-        or not all(isinstance(x, str) for x in labels)
-    ):
-        raise ParseError('"labels" must be a list of m strings')
     if max_m is not None and m > max_m:
         raise ResourceLimit(f"m = {m} exceeds the cap {max_m}")
     return SimplicialComplex.from_facets(m, facets)

@@ -119,6 +119,19 @@ def unfactored_h_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
     return M.BigradedRankTable(entries)
 
 
+def full_subcomplex(K: M.SimplicialComplex, I: int) -> M.SimplicialComplex:
+    """Restriction of K to the subset I, relabeled to [|I|] preserving order."""
+    place = {v: 1 << i for i, v in enumerate(M.masks.vertices(I))}
+    faces = {sum(place[v] for v in M.masks.vertices(f)) for f in K.faces if not f & ~I}
+    return M.SimplicialComplex(len(place), frozenset(faces))
+
+
+def full_blocks(row: M.RowComplex) -> dict:
+    """``{l: block differential from l to l - 1}`` of a row, every block in
+    full as a dense list of lists: nothing cleared."""
+    return {l: row._block(l, frozenset()) for l in row.groups if l - 1 in row.groups}
+
+
 def reference_rank(mat: list[list], char: int) -> int:
     """Rank of a dense matrix over Q (char 0) by the oracle's elimination, or
     over GF(char) by a textbook one; no ``SparseReducer`` is involved."""
@@ -130,8 +143,8 @@ def reference_rank(mat: list[list], char: int) -> int:
 
 def uncleared_row_ranks(row: M.RowComplex) -> dict:
     """A row's cohomology ranks ``{l: rank}`` from its full blocks
-    ``row.matrices``, every one ranked by ``reference_rank``."""
-    ranks = {l: reference_rank(mat, row.engine.char) for l, mat in row.matrices.items()}
+    ``full_blocks(row)``, every one ranked by ``reference_rank``."""
+    ranks = {l: reference_rank(mat, row.engine.char) for l, mat in full_blocks(row).items()}
     out = {}
     for l, dim in row.dims.items():
         r = dim - ranks.get(l, 0) - ranks.get(l + 1, 0)

@@ -62,8 +62,6 @@ class TestSerialization:
         with pytest.raises(ParseError):
             complex_from_dict({"m": 2, "facets": "nope"})
         with pytest.raises(ParseError):
-            complex_from_dict({"m": 2, "facets": [[1, 2]], "labels": ["a"]})
-        with pytest.raises(ParseError):
             complex_from_dict({"m": 2, "facets": [[True, 2]]})
         with pytest.raises(ParseError):
             complex_from_dict({"m": True, "facets": [[1]]})
@@ -317,6 +315,9 @@ class TestExitCodes:
         assert run_main(capsys, "hh", square_file, "--field", "gf:15")[0] == 2
         assert run_main(capsys, "hh", square_file, "--max-m", "0")[0] == 2
         assert run_main(capsys, "ladder", "--r-max", "0")[0] == 2
+        # a repeated vertex is refused, not merged into the set it repeats
+        assert run_main(capsys, "check-thm1", square_file, "1,3,1")[0] == 2
+        assert run_main(capsys, "construct", "glue", square_file, "--face", "1,3,1")[0] == 2
 
     def test_unparseable_files(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
@@ -339,6 +340,7 @@ class TestExitCodes:
             ["h", square_file, "--max-m", "ten"],
             ["h"],
             ["nonsense"],
+            ["oracle", square_file],
         ]:
             assert run_main(capsys, *argv)[0] == 2, argv
         assert run_main(capsys, "h", square_file, "--format", "csv") == (0, first, "")
@@ -357,7 +359,6 @@ class TestExitCodes:
             ["check-thm1", square_file, "1,3", "--format", "csv"],
             ["h", square_file, "--verify-exact"],
             ["ladder", "--r-max", "2", "--verify-exact"],
-            ["oracle", square_file, "--field", "gf:3"],
             ["construct", "k2r", "--r", "3", "--max-m", "1"],
             ["construct", "glue", square_file, "--face", "1,3", "--format", "csv"],
         ]:
@@ -371,8 +372,7 @@ class TestExitCodes:
         assert built == []
 
     def test_cap_before_closure(self, capsys, tmp_path, monkeypatch):
-        # one 18-vertex facet closes to 2**18 faces; --max-m, or the oracle's
-        # own cap, must refuse it first
+        # one 18-vertex facet closes to 2**18 faces; --max-m must refuse it first
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"m": 18, "facets": [list(range(1, 19))]}))
 
@@ -383,8 +383,6 @@ class TestExitCodes:
         for argv in (["hh", str(path)], ["h", str(path)], ["check-thm1", str(path), "1,2"]):
             code, _, err = run_main(capsys, *argv, "--max-m", "10")
             assert code == 3 and "ResourceLimit" in err, (argv, err)
-        code, _, err = run_main(capsys, "oracle", str(path))
-        assert code == 3 and "ResourceLimit" in err, err
 
     def test_ladder_cap_before_any_member(self, capsys, monkeypatch):
         # r = 1000 needs m = 22 > 10: refused before r = 1..16 are computed
@@ -496,15 +494,6 @@ class TestLadder:
         assert [row["rank"] for row in doc["rows"]] == [2, 4, 6]
 
 
-class TestOracleCommand:
-    def test_rows(self, capsys, square_file):
-        code, out, _ = run_main(capsys, "oracle", square_file)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["hh_rows"] == {"-1": 1, "0": 2, "1": 1}
-        assert doc["hh_total"] == 4
-
-
 class TestInstalledEntryPoint:
     def test_subprocess_byte_identical(self, capsys, square_file):
         outs = {run_main(capsys, "hh", square_file)[1].encode()}
@@ -517,3 +506,19 @@ class TestInstalledEntryPoint:
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)
         assert len(outs) == 1
+
+    def test_concurrent_out_writes(self, capsys, square_file, tmp_path):
+        # four runs race to replace one target: it ends up one whole document
+        fields = ["q", "q", "gf:32003", "gf:32003"]
+        expected = {run_main(capsys, "hh", square_file, "--field", f)[1] for f in fields}
+        target = tmp_path / "same.json"
+        argv = [sys.executable, "-m", "machh.cli", "hh", square_file, "--out", str(target)]
+        procs = [subprocess.Popen(argv + ["--field", f], env=subprocess_env()) for f in fields]
+        assert [proc.wait(timeout=60) for proc in procs] == [0] * 4
+        assert len(expected) == 2 and target.read_text() in expected
+        assert list(tmp_path.glob(".same.json.*.tmp")) == []
+
+    def test_request_path_loads_no_oracle(self):
+        code = "import sys, machh, machh.cli; print('machh.oracle' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=subprocess_env())
+        assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr

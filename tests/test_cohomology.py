@@ -13,12 +13,15 @@ from machh.double import assemble_row, h_ranks, hh_ranks
 from machh.errors import InternalInconsistency, NotApplicable
 from machh.fields import prime_field
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
+from machh.oracle import oracle_reduced_betti
 from machh.theorem import verify_theorem1
 
 from conftest import (
     brute_force_factors,
     complexes,
     dense_mul,
+    full_blocks,
+    full_subcomplex,
     permute_complex,
     random_complex,
     relabelled_joins,
@@ -41,7 +44,7 @@ def cohomology(L: M.SimplicialComplex, p: int):
 
 class TestCochainComplex:
     def test_empty_complex(self):
-        empty = M.full_subcomplex(M.square(), 0)
+        empty = full_subcomplex(M.square(), 0)
         assert SubsetCohomology(empty, 0).simplices == {-1: [0]}
         assert cohomology(empty, -1).rank == 1
 
@@ -171,7 +174,7 @@ class TestScalarTypes:
     def stored_scalars(K, char):
         eng = CohomologyEngine(K, char)
         for p in range(-1, K.dim() + 1):
-            for mat in assemble_row(eng, p).matrices.values():
+            for mat in full_blocks(assemble_row(eng, p)).values():
                 yield from (x for row in mat for x in row)
         # psi below may build a cone target that no rank built, so build every
         # subset first and walk a snapshot of the cache
@@ -251,8 +254,8 @@ class TestSkippedWork:
     def test_rank_equals_oracle_and_cones_are_acyclic(self, K, char):
         eng = CohomologyEngine(K, char)
         for I in range(1 << K.m):
-            L = M.full_subcomplex(K, I)
-            betti = [M.oracle_reduced_betti(L, p) for p in range(-1, K.dim() + 1)]
+            L = full_subcomplex(K, I)
+            betti = [oracle_reduced_betti(L, p) for p in range(-1, K.dim() + 1)]
             assert [eng.rank(I, p) for p in range(-1, K.dim() + 1)] == betti, (K, I)
             if eng.is_cone(I):
                 assert not any(betti), (K, I)
@@ -316,7 +319,7 @@ class TestSkippedWork:
                 for t in sc.simplices.get(p + 1, ()):
                     full[p].add(boundary_row(t, char))
                 assert sc.delta_reducer(p).rref_rows() == full[p].rref_rows(), (K, I, p)
-            L = M.full_subcomplex(K, I)
+            L = full_subcomplex(K, I)
             for p in range(-1, sc.max_p + 1):
                 pivots = full[p].rows
 
@@ -331,7 +334,7 @@ class TestSkippedWork:
                 every = quotient(sc.simplices.get(p - 1, ()))
                 assert cleared.rref_rows() == every.rref_rows(), (K, I, p)
                 essential = [f for f in sc.simplices[p] if f not in pivots and f not in every.rows]
-                assert len(essential) == sc.basis(p).rank == M.oracle_reduced_betti(L, p)
+                assert len(essential) == sc.basis(p).rank == oracle_reduced_betti(L, p)
 
 
 class TestFreeColumnBases:
@@ -396,8 +399,8 @@ class TestFreeColumnBases:
         eng = CohomologyEngine(K, char)
         table = eng.betti_table()
         for I in range(1 << K.m):
-            L = M.full_subcomplex(K, I)
-            betti = {p: M.oracle_reduced_betti(L, p) for p in range(-1, K.dim() + 1)}
+            L = full_subcomplex(K, I)
+            betti = {p: oracle_reduced_betti(L, p) for p in range(-1, K.dim() + 1)}
             assert table.get(I, {}) == {p: b for p, b in betti.items() if b}, (K, I)
             if eng.is_cone(I):
                 assert I not in table
@@ -632,9 +635,9 @@ class TestTwinOrbits:
         assert hh_ranks(eng).entries == hh_ranks(ref).entries, K
         assert all(eng.canon(I) == I for I in eng._cache), K  # no other subset is built
         for p in range(-1, K.dim() + 1):
-            row = assemble_row(eng, p)
-            for l, mat in row.matrices.items():
-                nxt = row.matrices.get(l + 1)
+            blocks = full_blocks(assemble_row(eng, p))
+            for l, mat in blocks.items():
+                nxt = blocks.get(l + 1)
                 if mat and nxt:
                     product = dense_mul(mat, nxt, 0)
                     assert all(not (x % char if char else x) for r in product for x in r), (K, p, l)

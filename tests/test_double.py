@@ -16,6 +16,7 @@ from conftest import (
     complexes,
     dense_is_zero,
     dense_mul,
+    full_blocks,
     permute_complex,
     random_complex,
     random_permutation,
@@ -70,7 +71,7 @@ class TestEngineCarriesTheRequest:
         points = M.SimplicialComplex.from_facets(3, [[1], [2], [3]])
         row = assemble_row(CohomologyEngine(points, gf3), 0)
         assert row.engine.char == gf3
-        entries = [x for mat in row.matrices.values() for r in mat for x in r]
+        entries = [x for mat in full_blocks(row).values() for r in mat for x in r]
         assert entries and all(type(x) is int and 0 <= x < 3 for x in entries)
         assert 2 in entries  # a block sign of -1, reduced mod 3
 
@@ -88,7 +89,7 @@ class TestAssembleRow:
     def test_any_row_minus_one(self, square):
         row = assemble_row(CohomologyEngine(square), -1)
         assert row.groups == {0: [(0, 1)]}
-        assert row.matrices == {}
+        assert full_blocks(row) == {}
 
     def test_square_diag_row_one(self, square_diag):
         row = assemble_row(CohomologyEngine(square_diag), 1)
@@ -133,9 +134,9 @@ class TestRowProperties:
             K = random_complex(rng, rng.randint(3, 6))
             eng = CohomologyEngine(K)
             for p in range(-1, K.dim() + 1):
-                row = assemble_row(eng, p)
-                for l, mat in row.matrices.items():
-                    nxt = row.matrices.get(l + 1)
+                blocks = full_blocks(assemble_row(eng, p))
+                for l, mat in blocks.items():
+                    nxt = blocks.get(l + 1)
                     if nxt:
                         assert dense_is_zero(dense_mul(mat, nxt, 0))
 
@@ -208,7 +209,7 @@ class TestJoinFactorisation:
 
 class TestClearing:
     """Each row is ranked on the rows that clearing keeps. This checks it
-    against the full blocks ``row.matrices`` ranked by a reference
+    against the full blocks ``full_blocks(row)`` ranked by a reference
     elimination, and checks that ``psi`` runs for exactly the targets with a
     row left in."""
 
@@ -228,9 +229,10 @@ class TestClearing:
             ranks = row.cohomology_ranks()
             called = set(targets)
             assert ranks == uncleared_row_ranks(row), (K, p)
+            blocks = full_blocks(row)
             expected = set()
-            for l, mat in row.matrices.items():
-                below = row.matrices.get(l - 1)
+            for l, mat in blocks.items():
+                below = blocks.get(l - 1)
                 columns = list(range(row.dims[l - 1]))
                 rref = textbook_rref([dict(enumerate(r)) for r in below or ()], columns, char)
                 cleared = {q for q, _ in rref}
