@@ -52,7 +52,7 @@ def _parse_field(spec: str) -> int:
 
 def _parse_vertex_list(spec: str) -> list[int]:
     try:
-        verts = [int(x) for x in spec.split(",") if x.strip() != ""]
+        verts = [int(x) for x in spec.split(",")]  # an empty entry is no int
     except ValueError:
         raise ParseError(f"bad vertex list {spec!r}")
     if len(set(verts)) != len(verts):

@@ -33,6 +33,9 @@ No elimination runs whose result is already fixed:
   and 0 on the rest of F (``kernel_basis``). A cocycle's coordinates are its
   values on E minus those its values on the quotient's pivots carry through
   the fully reduced quotient rows, so ``express`` sums a per-column table.
+  A basis builds that table on its first ``express`` and its
+  representatives on their first read: a source of ``psi`` never needs the
+  table, and a target never needs the representatives.
 - Echelon forms along a vertex chain. ``CohomologyEngine.subset(I)`` builds
   K_I on a cached K_J, J = I∖v, if it finds one. Columns are in the masks'
   own integer order, and the order of K_I's p-faces restricts to that of
@@ -79,19 +82,33 @@ DEFAULT_MAX_M = 22
 class CohomologyBasis:
     """Basis data for one reduced cohomology group H̃^p.
 
-    ``representatives`` are cocycle vectors (sparse, keyed by simplex mask),
-    one per essential column, linearly independent modulo coboundaries.
-    ``express`` reads a cocycle's coordinates off its values on the free
-    columns through a table, with no elimination (module docstring).
+    A basis keeps its essential columns, the kernel (the echelon form of
+    delta_p) and the quotient reducer, and builds each other part when its
+    role first needs it. ``representatives`` are cocycle vectors (sparse,
+    keyed by simplex mask), one per essential column, linearly independent
+    modulo coboundaries; the first read runs ``kernel_basis``, so only a
+    source of ``psi`` pays for it. ``express`` reads a cocycle's coordinates
+    off its values on the free columns through a table, with no elimination;
+    the first call builds the table from the quotient's ``rref_rows`` and
+    drops the quotient, so only a target pays for it (module docstring).
     """
 
-    __slots__ = ("rank", "representatives", "_table", "_kernel")
+    __slots__ = ("rank", "_essential", "_kernel", "_quotient", "_table", "_representatives")
 
-    def __init__(self, representatives, table, kernel):
-        self.rank = len(representatives)
-        self.representatives = representatives
-        self._table = table
+    def __init__(self, essential, kernel, quotient):
+        self.rank = len(essential)
+        self._essential = essential
         self._kernel = kernel
+        self._quotient = quotient
+        self._table = None
+        self._representatives = None
+
+    @property
+    def representatives(self) -> list[dict]:
+        reps = self._representatives
+        if reps is None:
+            reps = self._representatives = kernel_basis(self._kernel, self._essential)
+        return reps
 
     def express(self, vec: dict) -> list:
         """Coordinates of a cocycle modulo coboundaries, dense over representatives.
@@ -105,6 +122,14 @@ class CohomologyBasis:
         kernel = self._kernel
         char = kernel.p
         table = self._table
+        if table is None:
+            index = {e: k for k, e in enumerate(self._essential)}
+            table = {e: ((k, 1),) for e, k in index.items()}
+            for q, row in self._quotient.rref_rows():
+                table[q] = tuple(
+                    (index[e], char - a if char else -a) for e, a in row.items() if e != q
+                )
+            self._table, self._quotient = table, None
         pivots = kernel.rows
         for s in vec:
             if s not in table and s not in pivots:
@@ -228,19 +253,24 @@ class SubsetCohomology:
         return red
 
     def betti(self, p: int) -> int:
+        """dim H̃^p(K_I). In degree -1 it is 1 exactly when K_I has no vertex:
+        delta_{-1} has one nonzero row per vertex, and delta_{-2} is zero."""
         if p not in self.simplices:
             return 0
+        if p == -1:
+            return 0 if self.simplices.get(0) else 1
         return len(self.simplices[p]) - self.delta_reducer(p).rank - self.delta_reducer(p - 1).rank
 
     def basis(self, p: int) -> CohomologyBasis:
-        """Representatives and ``express`` table of H̃^p from one quotient
-        elimination on the free columns (module docstring)."""
+        """H̃^p's essential columns from one quotient elimination on the free
+        columns; the representatives and the ``express`` table are built on
+        first use (module docstring)."""
         cached = self._basis.get(p)
         if cached is not None:
             return cached
         char = self.char
         if p not in self.simplices:
-            basis = CohomologyBasis([], {}, SparseReducer(char))
+            basis = CohomologyBasis([], SparseReducer(char), SparseReducer(char))
             self._basis[p] = basis
             return basis
         kernel = self.delta_reducer(p)
@@ -256,13 +286,7 @@ class SubsetCohomology:
             raise InternalInconsistency(
                 f"representative count {len(essential)} != betti {self.betti(p)}"
             )
-        index = {e: k for k, e in enumerate(essential)}
-        table = {e: ((k, 1),) for e, k in index.items()}
-        for q, row in quotient.rref_rows():
-            table[q] = tuple(
-                (index[e], char - a if char else -a) for e, a in row.items() if e != q
-            )
-        basis = CohomologyBasis(kernel_basis(kernel, essential), table, kernel)
+        basis = CohomologyBasis(essential, kernel, quotient)
         self._basis[p] = basis
         return basis
 
@@ -464,7 +488,8 @@ class CohomologyEngine:
         pushed by the shift h that moves each member of that class above i′
         down to the member below it, with the sign of h on each face, and
         expressed in the basis of canon(R∖i′) (module docstring). The block
-        is cached when R's orbit has another member.
+        comes column by column: one coordinate list per representative of
+        R, in their order. It is cached when R's orbit has another member.
         """
         R = self.canon(I)
         ibit = top = masks.bit(i)
@@ -484,14 +509,13 @@ class CohomologyEngine:
         block = self._blocks.get(key) if shared else None
         if block is None:
             src = self.subset(R).basis(p)
-            dst = self.subset(R ^ top).basis(p)
-            cols = []
+            express = self.subset(R ^ top).basis(p).express
+            block = []
             for rep in src.representatives:
                 restricted = {s: c for s, c in rep.items() if not s & ibit}
                 if moves:
                     restricted = _shifted(restricted, moves, self.char)
-                cols.append(dst.express(restricted))
-            block = [[cols[c][r] for c in range(src.rank)] for r in range(dst.rank)]
+                block.append(express(restricted))
             if shared:
                 self._blocks[key] = block
         return block

@@ -110,20 +110,22 @@ class RowComplex:
         char = engine.char
         col = 0
         for I, b in self.groups[l]:
-            for i in masks.vertices(I):
-                ibit = masks.bit(i)
-                rows = rows_of.get(I & ~ibit)
-                if rows is None:
-                    continue
-                # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i)
-                positive = (masks.card(I & (ibit - 1)) + p + 1) % 2 == 0
-                for row, values in zip(rows, engine.psi(I, i, p)):
-                    if row is None:
-                        continue
-                    for c, v in enumerate(values):
-                        if v:
-                            # char - v is -v over Q (char 0) and over GF(char)
-                            row[col + c] = v if positive else char - v
+            # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i):
+            # (-1)**(p+1) at the lowest vertex i of I, flipped at each next one
+            positive = p % 2 == 1
+            rest = I
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                rows = rows_of.get(I ^ low)
+                if rows is not None:
+                    # psi's block comes column by column, one per representative of I
+                    for c, values in enumerate(engine.psi(I, low.bit_length(), p), col):
+                        for row, v in zip(rows, values):
+                            if v and row is not None:
+                                # char - v is -v over Q (char 0) and over GF(char)
+                                row[c] = v if positive else char - v
+                positive = not positive
             col += b
         return mat
 

@@ -318,6 +318,18 @@ class TestExitCodes:
         # a repeated vertex is refused, not merged into the set it repeats
         assert run_main(capsys, "check-thm1", square_file, "1,3,1")[0] == 2
         assert run_main(capsys, "construct", "glue", square_file, "--face", "1,3,1")[0] == 2
+        # so is an empty entry, not dropped to read a shorter list
+        out_file = tmp_path / "out.json"
+        for argv in [
+            ["check-thm1", square_file, "1,,3"],
+            ["check-thm1", square_file, ",1,3,"],
+            ["check-thm1", square_file, " 1, ,3"],
+            ["construct", "glue", square_file, "--face", ",1,3,"],
+        ]:
+            code, out, err = run_main(capsys, *argv, "--out", str(out_file))
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("ParseError: ") and err.count("\n") == 1, (argv, err)
+            assert not out_file.exists(), argv
 
     def test_unparseable_files(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"

@@ -102,20 +102,28 @@ class TestReducedCohomology:
         assert basis.express(basis.representatives[0]) == [Fraction(1)]
 
 
+def psi_rows(eng: CohomologyEngine, I: int, i: int, p: int) -> list[list]:
+    """``eng.psi(I, i, p)`` as a list of rows, one per target representative:
+    ``psi`` gives its block column by column."""
+    cols = eng.psi(I, i, p)
+    return [[col[r] for col in cols] for r in range(eng.rank(I & ~masks.bit(i), p))]
+
+
 class TestInducedMapPsi:
     def test_three_points_surjective(self):
         pts = M.SimplicialComplex.from_facets(3, [[1], [2], [3]])
-        mat = CohomologyEngine(pts).psi(masks.full_mask(3), 3, 0)
-        assert len(mat) == 1 and len(mat[0]) == 2
-        assert dense_rank(mat, 0) == 1
+        cols = CohomologyEngine(pts).psi(masks.full_mask(3), 3, 0)
+        # two source representatives, one coordinate each
+        assert len(cols) == 2 and len(cols[0]) == 1
+        assert dense_rank(cols, 0) == 1
 
     def test_square_to_contractible_path(self, square):
-        mat = CohomologyEngine(square).psi(masks.full_mask(4), 2, 1)
-        assert mat == []  # target group is zero
+        cols = CohomologyEngine(square).psi(masks.full_mask(4), 2, 1)
+        assert cols == [[]]  # one source representative, target group is zero
 
     def test_singleton_to_empty(self, square):
-        mat = CohomologyEngine(square).psi(masks.bit(1), 1, -1)
-        assert mat == [[]] or all(not any(r) for r in mat)
+        cols = CohomologyEngine(square).psi(masks.bit(1), 1, -1)
+        assert cols == [] or all(not any(c) for c in cols)
 
     def test_functoriality_of_compositions(self):
         # the two one-step restriction paths from I to I\{i,j} agree exactly
@@ -128,10 +136,10 @@ class TestInducedMapPsi:
             i, j = rng.sample(verts, 2)
             for p in range(-1, K.dim() + 1):
                 via_i = dense_mul(
-                    eng.psi(I & ~masks.bit(i), j, p), eng.psi(I, i, p), Fraction(0)
+                    psi_rows(eng, I & ~masks.bit(i), j, p), psi_rows(eng, I, i, p), Fraction(0)
                 )
                 via_j = dense_mul(
-                    eng.psi(I & ~masks.bit(j), i, p), eng.psi(I, j, p), Fraction(0)
+                    psi_rows(eng, I & ~masks.bit(j), i, p), psi_rows(eng, I, j, p), Fraction(0)
                 )
                 assert via_i == via_j
 
@@ -184,11 +192,12 @@ class TestScalarTypes:
             reducers = list(sc._delta.values())
             for p, basis in sc._basis.items():
                 reducers.append(basis._kernel)
+                basis.express({})  # builds the table if no psi has
                 # the table holds the quotient's fully reduced rows, negated
                 yield from (a for coords in basis._table.values() for _, a in coords)
                 yield from (x for rep in basis.representatives for x in rep.values())
                 for i in masks.vertices(I):
-                    yield from (x for row in eng.psi(I, i, p) for x in row)
+                    yield from (x for col in eng.psi(I, i, p) for x in col)
             for red in reducers:
                 for vec in red.rows.values():
                     yield from vec.values()
@@ -248,6 +257,18 @@ def joins_with_two_points(draw, max_m: int = 7):
 
 class TestSkippedWork:
     """Cone skipping, clearing and presorted faces against the work they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(max_m=7) | with_isolated_vertices(), FIELDS)
+    def test_betti_minus_one_needs_no_reducer(self, K, char):
+        # b_{-1}(K_I) = 1 - rank delta_{-1} - rank delta_{-2}, chained and from scratch
+        eng = CohomologyEngine(K, char)
+        for I in range(1 << K.m):
+            for sc in (eng.subset(I), SubsetCohomology(K, I, char)):
+                betti = sc.betti(-1)
+                assert -1 not in sc._delta and -2 not in sc._delta, (K, I)
+                formula = len(sc.simplices[-1]) - sc.delta_reducer(-1).rank - sc.delta_reducer(-2).rank
+                assert betti == formula == (1 if I == 0 else 0), (K, I)
 
     @settings(max_examples=60, deadline=None)
     @given(complexes(max_m=7), FIELDS)
@@ -564,6 +585,83 @@ class TestVertexChain:
             for red in [*sc._delta.values(), *(basis._kernel for basis in sc._basis.values())]:
                 assert red.exprs is None, (K, masks.mask_str(sc.I))
                 assert all(type(row) is dict for row in red.rows.values()), (K, masks.mask_str(sc.I))
+
+
+def eager_parts(sc: SubsetCohomology, p: int) -> tuple[dict, list[dict]]:
+    """The ``express`` table and the representatives of H̃^p(K_I) built both
+    at once, as every basis did before it built its parts by role: the
+    quotient's fully reduced rows, negated, and one kernel vector per
+    essential column."""
+    char = sc.char
+    if p not in sc.simplices:
+        return {}, []
+    pivots = sc.delta_reducer(p).rows
+    quotient = SparseReducer(char)
+    for s in sc.delta_reducer(p - 1).rows:
+        quotient.add({t: c for t, c in sc.coboundary_vector(p, s).items() if t not in pivots})
+    essential = [f for f in sc.simplices[p] if f not in pivots and f not in quotient.rows]
+    index = {e: k for k, e in enumerate(essential)}
+    table = {e: ((k, 1),) for e, k in index.items()}
+    for q, row in quotient.rref_rows():
+        table[q] = tuple((index[e], char - a if char else -a) for e, a in row.items() if e != q)
+    return table, kernel_basis(sc.delta_reducer(p), essential)
+
+
+def record_roles(eng: CohomologyEngine, sources: set, targets: set) -> None:
+    """Patch ``eng.psi`` to add (id of the subset, p) of each block's source,
+    canon(I), to ``sources`` and of its target, canon(I∖i), to ``targets``."""
+    psi = eng.psi
+
+    def spy(I, i, p):
+        block = psi(I, i, p)
+        sources.add((id(eng._cache[eng.canon(I)]), p))
+        targets.add((id(eng._cache[eng.canon(I & ~masks.bit(i))]), p))
+        return block
+
+    eng.psi = spy
+
+
+class TestBasesByRole:
+    """A basis builds its ``express`` table only once it is the target of a
+    ``psi`` and its representatives only once it is a source; either part
+    forced later equals the part a basis built eagerly has."""
+
+    @staticmethod
+    def assert_parts_follow_roles(engines, sources, targets) -> None:
+        where = engines[-1].K
+        for eng in engines:
+            for I, sc in list(eng._cache.items()):
+                for p, basis in sc._basis.items():
+                    role = (id(sc), p)
+                    assert (basis._table is not None) == (role in targets), (where, I, p)
+                    assert (basis._representatives is not None) == (role in sources), (where, I, p)
+                    basis.express({})
+                    table, representatives = eager_parts(sc, p)
+                    assert basis._table == table, (where, I, p)
+                    assert basis.representatives == representatives, (where, I, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_m=7) | relabelled_k2r(), FIELDS)
+    def test_parts_follow_roles(self, K, char):
+        eng = CohomologyEngine(K, char)
+        sources, targets = set(), set()
+        record_roles(eng, sources, targets)
+        hh_ranks(eng)
+        self.assert_parts_follow_roles([eng], sources, targets)
+
+    @settings(max_examples=30, deadline=None)
+    @given(glued_pairs(), FIELDS)
+    def test_parts_follow_roles_in_glued_engines(self, pair, char):
+        K, sigma = pair
+        before = CohomologyEngine(K, char)
+        sources, targets = set(), set()
+        record_roles(before, sources, targets)
+        hh_ranks(before)
+        glued = CohomologyEngine(M.glue_simplex(K, sigma), char)
+        glued.inherit(before, sigma)
+        record_roles(glued, sources, targets)
+        hh_ranks(glued)
+        self.assert_parts_follow_roles([before, glued], sources, targets)
 
 
 def brute_force_twin_classes(K: M.SimplicialComplex) -> tuple[int, ...]:
