@@ -4,6 +4,13 @@ Exit codes: 0 success, 5 verdict or verification mismatch (a bug or a
 counterexample); a library error exits with its class's ``exit_code`` (see
 ``errors``), a ``ValueError`` from a type accident in the input with 2, and
 running out of memory with 3, the resource-limit code.
+
+``main`` pauses Python's cyclic garbage collector for one request and then
+restores the caller's setting. The engine's data are acyclic trees of dicts
+and lists of ints, so reference counting frees them, and a collection pass
+would only walk them again and again as they grow. The only cyclic garbage
+a request leaves is the closures of ``json``'s indent encoder, a fixed few
+per document.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import stat
 import sys
@@ -34,13 +42,24 @@ from .serialization import (
 from .theorem import verify_theorem1
 
 
+def _decimal(text: str) -> int:
+    """A non-negative integer written in ASCII decimal digits only: no sign,
+    underscore, space or other script's digits, all of which ``int`` takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+_decimal.__name__ = "int"  # argparse names the type in its refusal
+
+
 def _parse_field(spec: str) -> int:
     """The characteristic that ``--field`` names: 0 for q, p for gf:<p>."""
     if spec == "q":
         return 0
     if spec.startswith("gf:"):
         try:
-            p = int(spec[3:])
+            p = _decimal(spec[3:])
         except ValueError:
             raise ParseError(f"bad field spec {spec!r}")
         try:
@@ -52,7 +71,7 @@ def _parse_field(spec: str) -> int:
 
 def _parse_vertex_list(spec: str) -> list[int]:
     try:
-        verts = [int(x) for x in spec.split(",")]  # an empty entry is no int
+        verts = [_decimal(x.strip()) for x in spec.split(",")]  # an empty entry is no int
     except ValueError:
         raise ParseError(f"bad vertex list {spec!r}")
     if len(set(verts)) != len(verts):
@@ -125,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="q",
                 help="q (exact rationals) or gf:<odd prime>",
             )
-            p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M, help="resource cap on m")
+            p.add_argument("--max-m", type=_decimal, default=DEFAULT_MAX_M, help="resource cap on m")
         p.add_argument("--out", default=None, help="write output to this path")
         if fmt:
             p.add_argument(
@@ -152,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(run=_cmd_construct)
     con_sub = p_con.add_subparsers(dest="kind", required=True)
     p_k2r = con_sub.add_parser("k2r", help="member of the even-rank family")
-    p_k2r.add_argument("--r", type=int, required=True)
+    p_k2r.add_argument("--r", type=_decimal, required=True)
     flags(p_k2r)
     p_join = con_sub.add_parser("join", help="simplicial join of two complex files")
     p_join.add_argument("a")
@@ -161,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wedge = con_sub.add_parser("wedge", help="one-point union of two complex files")
     p_wedge.add_argument("a")
     p_wedge.add_argument("b")
-    p_wedge.add_argument("--at-a", type=int, required=True, help="vertex of the first complex")
-    p_wedge.add_argument("--at-b", type=int, required=True, help="vertex of the second complex")
+    p_wedge.add_argument("--at-a", type=_decimal, required=True, help="vertex of the first complex")
+    p_wedge.add_argument("--at-b", type=_decimal, required=True, help="vertex of the second complex")
     flags(p_wedge)
     p_glue = con_sub.add_parser("glue", help="add one simplex whose boundary is present")
     p_glue.add_argument("a")
@@ -177,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lad = sub.add_parser("ladder", help="even-rank family: computed vs expected totals")
     p_lad.set_defaults(run=_cmd_ladder)
-    p_lad.add_argument("--r-max", type=int, required=True)
+    p_lad.add_argument("--r-max", type=_decimal, required=True)
     flags(p_lad, compute=True, fmt=True)
 
     return parser
@@ -294,6 +313,8 @@ def _run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()  # for this request only (module docstring)
     try:
         return _run(argv)
     except MachhError as exc:
@@ -305,6 +326,9 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("ResourceLimit: out of memory\n")
         return ResourceLimit.exit_code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

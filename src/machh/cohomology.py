@@ -18,7 +18,9 @@ No elimination runs whose result is already fixed:
   hence a cycle, and t comes first in its support, so the boundary of t lies
   in the span of the boundaries of later (p+1)-simplices; by downward
   induction over the pivots, the rows kept span the same row space. The
-  rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged.
+  rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged. So one
+  pass from the top degree down eliminates every degree of a subset, on the
+  first Betti number or basis that needs one; b_{-1} reads the 0-faces alone.
 - ``basis(p)`` needs one elimination more. Let F be the p-simplices that
   are not pivots of ``delta_reducer(p)``. A cocycle is orthogonal to every
   echelon row, and the row of a pivot q fixes the entry at q from entries at
@@ -62,11 +64,13 @@ No elimination runs whose result is already fixed:
   within each class. Then g maps K_R onto K_I, so b_p(K_I) = b_p(K_R), and
   K_I's basis is g_* of K_R's: (g_*φ)(g s) = sign(g, s)·φ(s), with
   sign(g, s) the parity of g on s's sorted vertices. g_* commutes with δ
-  and with restriction, so ``psi(I, i, p)`` is the block of R and
+  and with restriction, so the ``psi`` block of I and i is that of R and
   i′ = g⁻¹(i) into canon(R∖i′) = canon(I∖i), after the within-class shift
   h: R∖i′ → canon(R∖i′), since g restricted to R∖i′ is the monotone map
   g′ ∘ h. Only canonical subsets are built; a block is cached when another
-  member of R's orbit can ask for it.
+  member of R's orbit can ask for it. ``psi(I, p, vertices)`` makes the
+  blocks of every asked target I∖i of one source at once, so canon(I), I's
+  classes and R's representatives are worked out once per source.
 """
 
 from __future__ import annotations
@@ -194,8 +198,9 @@ class SubsetCohomology:
         self._delta: dict[int, SparseReducer] = {}
         self._basis: dict[int, CohomologyBasis] = {}
 
-    def coboundary_vector(self, p: int, s: int) -> dict:
-        """delta(s*) as a sparse vector over the p-simplices, s of degree p-1.
+    def coboundary_vector(self, p: int, s: int, skip=()) -> dict:
+        """delta(s*) as a sparse vector over the p-simplices not in ``skip``,
+        s of degree p-1.
 
         The entry at s ∪ {j} is (-1)**(# elements of s below j). As s ∪ {j} ⊆ I,
         it is a p-simplex of K_I exactly when it is a face of K.
@@ -209,9 +214,51 @@ class SubsetCohomology:
             rest ^= low
             if low & s:
                 sign, other = other, sign
-            elif s | low in faces:
-                vec[s | low] = sign
+            elif (f := s | low) in faces and f not in skip:
+                vec[f] = sign
         return vec
+
+    def _reducers(self) -> dict[int, SparseReducer]:
+        """Every ``delta_reducer``, by degree, from one top-down pass on first need.
+
+        Degrees run from ``max_p`` down to -1, each clearing the rows of the
+        pivots of the degree above it. With a parent K_{I∖v} each reducer
+        starts from the parent's rows and adds only the faces through v
+        (module docstring).
+        """
+        delta = self._delta
+        if delta:
+            return delta
+        parent = self._parent
+        if parent is None:
+            new, inherited = self.I, {}  # every face but the empty one, whose row is zero
+        else:
+            new, inherited = self.I ^ parent.I, parent._reducers()
+        char = self.char
+        minus_one = char - 1
+        cleared: dict = {}
+        for p in range(self.max_p, -2, -1):
+            red = SparseReducer(char)
+            if p in inherited:
+                red.rows.update(inherited[p].rows)
+            # the leading column of a row is t minus its largest vertex, with
+            # sign (-1)**(p+1); start at -1 for even p so that it is +1
+            start = (minus_one, 1) if p % 2 == 0 else (1, minus_one)
+            for t in self.simplices.get(p + 1, ()):
+                if not t & new or t in cleared:
+                    continue
+                row = {}
+                sign, other = start
+                rest = t
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row[t ^ low] = sign
+                    sign, other = other, sign
+                red.add(row)
+            delta[p] = red
+            cleared = red.rows
+        return delta
 
     def delta_reducer(self, p: int) -> SparseReducer:
         """Echelon form of delta_p, rows indexed by the (p+1)-simplices, columns
@@ -220,37 +267,13 @@ class SubsetCohomology:
         The row of t has (-1)**i at t minus its i-th smallest vertex, times
         (-1)**(p+1) so that its leading entry is +1: the smallest mask in it
         is t minus its largest vertex. Rows of the pivots of
-        ``delta_reducer(p+1)`` are cleared. With a parent K_{I∖v} the reducer
-        starts from the parent's rows and adds only the faces through v
-        (module docstring).
+        ``delta_reducer(p+1)`` are cleared. The degrees -1..max_p are built
+        together (``_reducers``); any other delta_p is zero, as its only row
+        is the empty face's (p = -2) or it has none, and gets a fresh empty
+        reducer.
         """
-        red = self._delta.get(p)
-        if red is None:
-            cleared = self.delta_reducer(p + 1).rows if p + 2 in self.simplices else {}
-            parent = self._parent
-            red = SparseReducer(self.char)
-            if parent is None:
-                new = self.I  # every face but the empty one, whose row is zero
-            else:
-                new = self.I ^ parent.I
-                red.rows.update(parent.delta_reducer(p).rows)
-            minus_one = self.char - 1
-            for t in self.simplices.get(p + 1, ()):
-                if not t & new or t in cleared:
-                    continue
-                row = {}
-                # the leading column is t minus its largest vertex, with sign
-                # (-1)**(p+1); start at -1 for even p so that it is +1
-                sign, other = (minus_one, 1) if p % 2 == 0 else (1, minus_one)
-                rest = t
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    row[t ^ low] = sign
-                    sign, other = other, sign
-                red.add(row)
-            self._delta[p] = red
-        return red
+        red = self._reducers().get(p)
+        return red if red is not None else SparseReducer(self.char)
 
     def betti(self, p: int) -> int:
         """dim H̃^p(K_I). In degree -1 it is 1 exactly when K_I has no vertex:
@@ -259,7 +282,8 @@ class SubsetCohomology:
             return 0
         if p == -1:
             return 0 if self.simplices.get(0) else 1
-        return len(self.simplices[p]) - self.delta_reducer(p).rank - self.delta_reducer(p - 1).rank
+        delta = self._reducers()
+        return len(self.simplices[p]) - delta[p].rank - delta[p - 1].rank
 
     def basis(self, p: int) -> CohomologyBasis:
         """H̃^p's essential columns from one quotient elimination on the free
@@ -273,12 +297,12 @@ class SubsetCohomology:
             basis = CohomologyBasis([], SparseReducer(char), SparseReducer(char))
             self._basis[p] = basis
             return basis
-        kernel = self.delta_reducer(p)
+        delta = self._reducers()
+        kernel = delta[p]
         pivots = kernel.rows
         quotient = SparseReducer(char)
-        for s in self.delta_reducer(p - 1).rows:
-            vec = self.coboundary_vector(p, s)
-            quotient.add({t: c for t, c in vec.items() if t not in pivots})
+        for s in delta[p - 1].rows if p >= 0 else ():  # delta_{-2} is zero
+            quotient.add(self.coboundary_vector(p, s, pivots))
         essential = [
             f for f in self.simplices[p] if f not in pivots and f not in quotient.rows
         ]
@@ -480,45 +504,54 @@ class CohomologyEngine:
         for I in [I for I in before._cache if sigma & ~I]:
             self._cache[I] = before._cache.pop(I)
 
-    def psi(self, I: int, i: int, p: int) -> list[list]:
-        """Matrix of the restriction H̃^p(K_I) -> H̃^p(K_{I\\{i}}) in the stored bases.
+    def psi(self, I: int, p: int, vertices: int) -> dict[int, list[list]]:
+        """Matrices of the restrictions H̃^p(K_I) -> H̃^p(K_{I\\{i}}) in the
+        stored bases, one per vertex bit i of the mask ``vertices`` ⊆ I, keyed
+        by i in increasing order.
 
-        It is the block of R = canon(I) and i′, the member of R's class at
-        i's place in I's class: R's representatives restricted to R∖i′,
+        The block of i is that of R = canon(I) and i′, the member of R's class
+        at i's place in I's class: R's representatives restricted to R∖i′,
         pushed by the shift h that moves each member of that class above i′
         down to the member below it, with the sign of h on each face, and
-        expressed in the basis of canon(R∖i′) (module docstring). The block
-        comes column by column: one coordinate list per representative of
-        R, in their order. It is cached when R's orbit has another member.
+        expressed in the basis of canon(R∖i′) (module docstring). A block
+        comes column by column: one coordinate list per representative of R,
+        in their order. It is cached when R's orbit has another member. R, its
+        representatives and I's classes are worked out once for all i.
         """
         R = self.canon(I)
-        ibit = top = masks.bit(i)
-        shared = False
-        moves: list[tuple[int, int]] = []  # (from, to), each ``to`` vacant when it moves
-        for c, members in self.twins:
-            inside = I & c
-            if not inside:
-                continue
-            shared = shared or inside != c
-            if ibit & c:
-                k = masks.card(inside)
-                j = masks.card(inside & (ibit - 1))
-                ibit, top = members[j], members[k - 1]
-                moves = list(zip(members[j + 1 : k], members[j:k]))
-        key = (R, ibit, p)
-        block = self._blocks.get(key) if shared else None
-        if block is None:
-            src = self.subset(R).basis(p)
-            express = self.subset(R ^ top).basis(p).express
-            block = []
-            for rep in src.representatives:
-                restricted = {s: c for s, c in rep.items() if not s & ibit}
-                if moves:
-                    restricted = _shifted(restricted, moves, self.char)
-                block.append(express(restricted))
-            if shared:
-                self._blocks[key] = block
-        return block
+        classes = [(c, members, I & c) for c, members in self.twins if I & c]
+        shared = any(inside != c for c, _, inside in classes)
+        reps = None
+        blocks = {}
+        rest = vertices
+        while rest:
+            i = rest & -rest
+            rest ^= i
+            ibit = top = i
+            moves: list[tuple[int, int]] = []  # (from, to), each ``to`` vacant when it moves
+            for c, members, inside in classes:
+                if i & c:
+                    k = masks.card(inside)
+                    j = masks.card(inside & (i - 1))
+                    ibit, top = members[j], members[k - 1]
+                    moves = list(zip(members[j + 1 : k], members[j:k]))
+                    break
+            key = (R, ibit, p)
+            block = self._blocks.get(key) if shared else None
+            if block is None:
+                if reps is None:
+                    reps = self.subset(R).basis(p).representatives
+                express = self.subset(R ^ top).basis(p).express
+                block = []
+                for rep in reps:
+                    restricted = {s: c for s, c in rep.items() if not s & ibit}
+                    if moves:
+                        restricted = _shifted(restricted, moves, self.char)
+                    block.append(express(restricted))
+                if shared:
+                    self._blocks[key] = block
+            blocks[i] = block
+        return blocks
 
 
 def _shifted(vec: dict, moves: list[tuple[int, int]], char: int) -> dict:

@@ -110,22 +110,24 @@ class RowComplex:
         char = engine.char
         col = 0
         for I, b in self.groups[l]:
-            # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i):
-            # (-1)**(p+1) at the lowest vertex i of I, flipped at each next one
-            positive = p % 2 == 1
+            wanted = 0
             rest = I
             while rest:
                 low = rest & -rest
                 rest ^= low
-                rows = rows_of.get(I ^ low)
-                if rows is not None:
-                    # psi's block comes column by column, one per representative of I
-                    for c, values in enumerate(engine.psi(I, low.bit_length(), p), col):
+                if I ^ low in rows_of:
+                    wanted |= low
+            if wanted:
+                # psi's blocks come column by column, one per representative of I
+                for i, block in engine.psi(I, p, wanted).items():
+                    rows = rows_of[I ^ i]
+                    # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i)
+                    positive = (p + masks.card(I & (i - 1))) % 2 == 1
+                    for c, values in enumerate(block, col):
                         for row, v in zip(rows, values):
                             if v and row is not None:
                                 # char - v is -v over Q (char 0) and over GF(char)
                                 row[c] = v if positive else char - v
-                positive = not positive
             col += b
         return mat
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import machh as M
+from machh.cohomology import _shifted
 from machh.oracle import _matrix_rank
 
 
@@ -124,6 +125,39 @@ def full_subcomplex(K: M.SimplicialComplex, I: int) -> M.SimplicialComplex:
     place = {v: 1 << i for i, v in enumerate(M.masks.vertices(I))}
     faces = {sum(place[v] for v in M.masks.vertices(f)) for f in K.faces if not f & ~I}
     return M.SimplicialComplex(len(place), frozenset(faces))
+
+
+def psi_block(eng: M.CohomologyEngine, I: int, i: int, p: int) -> list[list]:
+    """``eng.psi``'s block of the one restriction from K_I to K_{I∖i}."""
+    bit = M.masks.bit(i)
+    return eng.psi(I, p, bit)[bit]
+
+
+def reference_psi(eng: M.CohomologyEngine, I: int, i: int, p: int) -> list[list]:
+    """The block of the restriction from K_I to K_{I∖i} by one call per
+    (I, i), with no block cache, as the engine made it before ``psi`` took
+    all targets of a source at once: canon(I) and I's twin classes are worked
+    out again for every i."""
+    masks = M.masks
+    R = eng.canon(I)
+    ibit = top = masks.bit(i)
+    moves = []
+    for c, members in eng.twins:
+        inside = I & c
+        if inside and ibit & c:
+            k = masks.card(inside)
+            j = masks.card(inside & (ibit - 1))
+            ibit, top = members[j], members[k - 1]
+            moves = list(zip(members[j + 1 : k], members[j:k]))
+    src = eng.subset(R).basis(p)
+    express = eng.subset(R ^ top).basis(p).express
+    block = []
+    for rep in src.representatives:
+        restricted = {s: c for s, c in rep.items() if not s & ibit}
+        if moves:
+            restricted = _shifted(restricted, moves, eng.char)
+        block.append(express(restricted))
+    return block
 
 
 def full_blocks(row: M.RowComplex) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import stat
@@ -534,3 +535,146 @@ class TestInstalledEntryPoint:
         code = "import sys, machh, machh.cli; print('machh.oracle' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=subprocess_env())
         assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
+
+
+# each spelling is one that ``int`` reads: an underscore, a sign or another
+# script's digits (Arabic-Indic here), so each names a number the CLI refuses
+NON_DECIMAL_ARGUMENTS = [
+    ("field-underscore", ["hh", "{square}", "--field", "gf:3_1"]),
+    ("field-arabic-indic", ["hh", "{square}", "--field", "gf:\u0663\u0661"]),
+    ("sigma-sign", ["check-thm1", "{square}", "+1, 3"]),
+    ("sigma-arabic-indic", ["check-thm1", "{square}", "1,\u0663"]),
+    ("face-sign", ["construct", "glue", "{square}", "--face", "+1,3"]),
+    ("r-underscore", ["construct", "k2r", "--r", "1_0"]),
+    ("r-sign", ["construct", "k2r", "--r", "+3"]),
+    ("r-max-arabic-indic", ["ladder", "--r-max", "\u0663"]),
+    (
+        "at-a-arabic-indic",
+        ["construct", "wedge", "{square}", "{square}", "--at-a", "\u0662", "--at-b", "1"],
+    ),
+    ("at-b-sign", ["construct", "wedge", "{square}", "{square}", "--at-a", "2", "--at-b", "+1"]),
+    ("max-m-underscore", ["hh", "{square}", "--max-m", "1_0"]),
+]
+
+
+class TestIntegerArguments:
+    """Every integer the command line reads is ASCII decimal digits only."""
+
+    @pytest.mark.parametrize(
+        "argv", [a for _, a in NON_DECIMAL_ARGUMENTS], ids=[n for n, _ in NON_DECIMAL_ARGUMENTS]
+    )
+    def test_non_decimal_spelling_is_refused(self, capsys, tmp_path, square_file, argv):
+        target = tmp_path / "out.json"
+        argv = [a.format(square=square_file) for a in argv]
+        code, out, err = run_main(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, ""), (argv, err)
+        assert not target.exists(), argv
+
+    def test_vertex_lists_keep_surrounding_spaces(self, capsys, square_file):
+        code, out, _ = run_main(capsys, "check-thm1", square_file, " 1 , 3 ")
+        assert code == 0 and json.loads(out)["sigma"] == [1, 3]
+
+    def test_refusals_read_as_before(self, capsys, square_file):
+        code, _, err = run_main(capsys, "construct", "k2r", "--r", "ten")
+        assert code == 2 and err.endswith("argument --r: invalid int value: 'ten'\n"), err
+        code, _, err = run_main(capsys, "hh", square_file, "--field", "gf:x")
+        assert (code, err) == (2, "ParseError: bad field spec 'gf:x'\n")
+
+
+def cyclic_garbage(argv: list) -> tuple[int, list]:
+    """``main(argv)``'s exit code and the objects that only a collection of
+    the cyclic collector would free after it."""
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv)
+        gc.collect()
+        return code, list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+class TestPausedCollector:
+    """``main`` pauses the cyclic collector for a request and restores the
+    caller's setting on every exit, and a request leaves no machh object for
+    the collector to free."""
+
+    # (id, exit code, argv, callable of machh.cli that raises, or None)
+    EXITS = [
+        ("0", 0, ["hh", "{square}"], None),
+        ("1", 1, ["check-thm1", "{square}", "1,2"], None),
+        ("2-parse-error", 2, ["hh", "{absent}"], None),
+        ("2-argparse", 2, ["hh", "{square}", "--format", "xml"], None),
+        ("3-memory", 3, ["hh", "{square}"], ("hh_ranks", MemoryError())),
+        ("5-bug", 5, ["h", "{square}"], ("h_ranks", InternalInconsistency("broken"))),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("code,argv,raising", [e[1:] for e in EXITS], ids=[e[0] for e in EXITS])
+    def test_restores_the_callers_setting(
+        self, capsys, tmp_path, square_file, monkeypatch, enabled, code, argv, raising
+    ):
+        during = []  # gc.isenabled() inside the request, where a patched callable saw it
+
+        def seen(fn):
+            def wrapper(*args, **kwargs):
+                during.append(gc.isenabled())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def fail(*args, **kwargs):
+            raise raising[1]
+
+        if raising:
+            monkeypatch.setattr(f"machh.cli.{raising[0]}", seen(fail))
+        else:
+            monkeypatch.setattr("machh.cli.load_complex", seen(load_complex))
+        argv = [a.format(square=square_file, absent=str(tmp_path / "absent.json")) for a in argv]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            got = main(argv)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert got == code
+        assert after is enabled
+        assert not any(during)  # paused while the request ran
+        assert during or "--format" in argv  # only argparse refuses before any load
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hh", "{k2r}"],
+            ["h", "{k2r}"],
+            ["check-thm1", "{k2r}", "{sigma}"],
+            ["ladder", "--r-max", "4"],
+            ["construct", "k2r", "--r", "4"],
+        ],
+        ids=["hh", "h", "check-thm1", "ladder", "construct"],
+    )
+    def test_no_machh_object_is_cyclic_garbage(self, capsys, tmp_path, argv):
+        built = M.k2r_family(4)
+        k2r = write_complex(tmp_path / "k2r.json", built.complex)
+        sigma = ",".join(map(str, built.non_edge))
+        argv = [a.format(k2r=k2r, sigma=sigma) for a in argv] + ["--out", str(tmp_path / "out.json")]
+        main(argv)  # first call builds the parser and warms module caches
+        code, garbage = cyclic_garbage(argv)
+        assert code == 0
+        machh_objects = [o for o in garbage if type(o).__module__.startswith("machh")]
+        assert machh_objects == [], machh_objects[:5]
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, tmp_path):
+        counts = []
+        for r in (4, 16):
+            path = write_complex(tmp_path / f"k2r{r}.json", M.k2r_family(r).complex)
+            argv = ["hh", path, "--out", str(tmp_path / "out.json")]
+            main(argv)
+            code, garbage = cyclic_garbage(argv)
+            assert code == 0
+            counts.append(len(garbage))
+        assert counts[0] == counts[1] and counts[0] > 0, counts

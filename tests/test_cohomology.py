@@ -23,7 +23,9 @@ from conftest import (
     full_blocks,
     full_subcomplex,
     permute_complex,
+    psi_block,
     random_complex,
+    reference_psi,
     relabelled_joins,
     rref_kernel_basis,
     simplex,
@@ -103,26 +105,26 @@ class TestReducedCohomology:
 
 
 def psi_rows(eng: CohomologyEngine, I: int, i: int, p: int) -> list[list]:
-    """``eng.psi(I, i, p)`` as a list of rows, one per target representative:
-    ``psi`` gives its block column by column."""
-    cols = eng.psi(I, i, p)
+    """``eng.psi``'s block for I and i as a list of rows, one per target
+    representative: ``psi`` gives its block column by column."""
+    cols = psi_block(eng, I, i, p)
     return [[col[r] for col in cols] for r in range(eng.rank(I & ~masks.bit(i), p))]
 
 
 class TestInducedMapPsi:
     def test_three_points_surjective(self):
         pts = M.SimplicialComplex.from_facets(3, [[1], [2], [3]])
-        cols = CohomologyEngine(pts).psi(masks.full_mask(3), 3, 0)
+        cols = psi_block(CohomologyEngine(pts), masks.full_mask(3), 3, 0)
         # two source representatives, one coordinate each
         assert len(cols) == 2 and len(cols[0]) == 1
         assert dense_rank(cols, 0) == 1
 
     def test_square_to_contractible_path(self, square):
-        cols = CohomologyEngine(square).psi(masks.full_mask(4), 2, 1)
+        cols = psi_block(CohomologyEngine(square), masks.full_mask(4), 2, 1)
         assert cols == [[]]  # one source representative, target group is zero
 
     def test_singleton_to_empty(self, square):
-        cols = CohomologyEngine(square).psi(masks.bit(1), 1, -1)
+        cols = psi_block(CohomologyEngine(square), masks.bit(1), 1, -1)
         assert cols == [] or all(not any(c) for c in cols)
 
     def test_functoriality_of_compositions(self):
@@ -196,8 +198,8 @@ class TestScalarTypes:
                 # the table holds the quotient's fully reduced rows, negated
                 yield from (a for coords in basis._table.values() for _, a in coords)
                 yield from (x for rep in basis.representatives for x in rep.values())
-                for i in masks.vertices(I):
-                    yield from (x for col in eng.psi(I, i, p) for x in col)
+                for block in eng.psi(I, p, I).values():
+                    yield from (x for col in block for x in col)
             for red in reducers:
                 for vec in red.rows.values():
                     yield from vec.values()
@@ -566,9 +568,8 @@ class TestVertexChain:
                 for q, row in parent._delta[p].rows.items():
                     assert red.rows[q] is row  # shared, not copied
         for I, sc in list(eng._cache.items()):
-            for i in masks.vertices(I):
-                for p in range(-1, sc.max_p + 1):
-                    eng.psi(I, i, p)
+            for p in range(-1, sc.max_p + 1):
+                eng.psi(I, p, I)
         for sc, p, red in built:
             red.rref_rows()
             kernel_basis(red, sc.simplices.get(p, ()))
@@ -608,15 +609,17 @@ def eager_parts(sc: SubsetCohomology, p: int) -> tuple[dict, list[dict]]:
 
 
 def record_roles(eng: CohomologyEngine, sources: set, targets: set) -> None:
-    """Patch ``eng.psi`` to add (id of the subset, p) of each block's source,
-    canon(I), to ``sources`` and of its target, canon(I∖i), to ``targets``."""
+    """Patch ``eng.psi`` to add (id of the subset, p) of each call's source,
+    canon(I), to ``sources`` and of each of its targets, canon(I∖i), to
+    ``targets``."""
     psi = eng.psi
 
-    def spy(I, i, p):
-        block = psi(I, i, p)
+    def spy(I, p, vertices):
+        blocks = psi(I, p, vertices)
         sources.add((id(eng._cache[eng.canon(I)]), p))
-        targets.add((id(eng._cache[eng.canon(I & ~masks.bit(i))]), p))
-        return block
+        for i in masks.vertices(vertices):
+            targets.add((id(eng._cache[eng.canon(I & ~masks.bit(i))]), p))
+        return blocks
 
     eng.psi = spy
 
@@ -744,7 +747,8 @@ class TestTwinOrbits:
                 J = I & ~masks.bit(i)
                 if eng.canon(J) == J and eng.canon(I) == I:
                     for p in bettis:
-                        assert eng.psi(I, i, p) == ref.psi(I, i, p), (K, masks.mask_str(I), i, p)
+                        where = (K, masks.mask_str(I), i, p)
+                        assert psi_block(eng, I, i, p) == psi_block(ref, I, i, p), where
 
     @settings(max_examples=30, deadline=None)
     @given(glued_pairs() | joins_with_two_points().flatmap(
@@ -765,6 +769,48 @@ class TestTwinOrbits:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("machh.cohomology._twin_classes", lambda non_faces: ())
             assert outcome() == transported, (K, masks.mask_str(sigma))
+
+
+class TestPsiPerSource:
+    """``psi`` makes all blocks of one source in one call; each equals the
+    block that ``conftest.reference_psi`` makes with one call per (I, i), in
+    an engine of its own, whatever subset of I's vertices is asked for and
+    whether or not the row stage has filled the block cache."""
+
+    @staticmethod
+    def assert_blocks_match(eng: CohomologyEngine, ref: CohomologyEngine, rng) -> None:
+        for I, bettis in eng.betti_table().items():
+            for p in bettis:
+                some = sum(masks.bit(v) for v in masks.vertices(I) if rng.random() < 0.5)
+                for vertices in (some, I):
+                    blocks = eng.psi(I, p, vertices)
+                    where = (eng.K, masks.mask_str(I), p, masks.mask_str(vertices))
+                    assert list(blocks) == [masks.bit(i) for i in masks.vertices(vertices)], where
+                    for i in masks.vertices(vertices):
+                        assert blocks[masks.bit(i)] == reference_psi(ref, I, i, p), (where, i)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relabelled_k2r() | complexes(max_m=7) | joins_with_two_points() | with_isolated_vertices(),
+        FIELDS,
+        st.randoms(use_true_random=False),
+    )
+    def test_blocks_equal_per_pair_reference(self, K, char, rng):
+        eng = CohomologyEngine(K, char)
+        hh_ranks(eng)
+        self.assert_blocks_match(eng, CohomologyEngine(K, char), rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(glued_pairs(), FIELDS, st.randoms(use_true_random=False))
+    def test_glued_blocks_after_inherit_equal_per_pair_reference(self, pair, char, rng):
+        K, sigma = pair
+        before = CohomologyEngine(K, char)
+        hh_ranks(before)
+        L = M.glue_simplex(K, sigma)
+        glued = CohomologyEngine(L, char)
+        glued.inherit(before, sigma)
+        hh_ranks(glued)
+        self.assert_blocks_match(glued, CohomologyEngine(L, char), rng)
 
 
 def filtered_faces(K: M.SimplicialComplex, I: int) -> dict[int, list[int]]:

@@ -222,7 +222,9 @@ class TestClearing:
         engine = CohomologyEngine(K, char)
         targets = []
         psi = engine.psi
-        engine.psi = lambda I, i, p: targets.append(I & ~masks.bit(i)) or psi(I, i, p)
+        engine.psi = lambda I, p, vertices: (
+            targets.extend(I & ~masks.bit(i) for i in masks.vertices(vertices)) or psi(I, p, vertices)
+        )
         for p in range(-1, K.dim() + 1):
             row = assemble_row(engine, p)
             del targets[:]
