@@ -18,9 +18,10 @@ No elimination runs whose result is already fixed:
   hence a cycle, and t comes first in its support, so the boundary of t lies
   in the span of the boundaries of later (p+1)-simplices; by downward
   induction over the pivots, the rows kept span the same row space. The
-  rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged. So one
-  pass from the top degree down eliminates every degree of a subset, on the
-  first Betti number or basis that needs one; b_{-1} reads the 0-faces alone.
+  rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged. So the
+  first ``delta_reducer`` call of a subset, made by the first Betti number
+  or basis that needs one, eliminates every degree in one pass from the top
+  degree down; b_{-1} reads the 0-faces alone.
 - ``basis(p)`` needs one elimination more. Let F be the p-simplices that
   are not pivots of ``delta_reducer(p)``. A cocycle is orthogonal to every
   echelon row, and the row of a pivot q fixes the entry at q from entries at
@@ -78,6 +79,7 @@ from __future__ import annotations
 from . import masks
 from .complexes import SimplicialComplex
 from .errors import InternalInconsistency, ResourceLimit
+from .fields import prime_field
 from .linalg import SparseReducer, kernel_basis
 
 DEFAULT_MAX_M = 22
@@ -131,7 +133,7 @@ class CohomologyBasis:
             table = {e: ((k, 1),) for e, k in index.items()}
             for q, row in self._quotient.rref_rows():
                 table[q] = tuple(
-                    (index[e], char - a if char else -a) for e, a in row.items() if e != q
+                    (index[e], char - a) for e, a in row.items() if e != q
                 )
             self._table, self._quotient = table, None
         pivots = kernel.rows
@@ -218,61 +220,53 @@ class SubsetCohomology:
                 vec[f] = sign
         return vec
 
-    def _reducers(self) -> dict[int, SparseReducer]:
-        """Every ``delta_reducer``, by degree, from one top-down pass on first need.
-
-        Degrees run from ``max_p`` down to -1, each clearing the rows of the
-        pivots of the degree above it. With a parent K_{I∖v} each reducer
-        starts from the parent's rows and adds only the faces through v
-        (module docstring).
-        """
-        delta = self._delta
-        if delta:
-            return delta
-        parent = self._parent
-        if parent is None:
-            new, inherited = self.I, {}  # every face but the empty one, whose row is zero
-        else:
-            new, inherited = self.I ^ parent.I, parent._reducers()
-        char = self.char
-        minus_one = char - 1
-        cleared: dict = {}
-        for p in range(self.max_p, -2, -1):
-            red = SparseReducer(char)
-            if p in inherited:
-                red.rows.update(inherited[p].rows)
-            # the leading column of a row is t minus its largest vertex, with
-            # sign (-1)**(p+1); start at -1 for even p so that it is +1
-            start = (minus_one, 1) if p % 2 == 0 else (1, minus_one)
-            for t in self.simplices.get(p + 1, ()):
-                if not t & new or t in cleared:
-                    continue
-                row = {}
-                sign, other = start
-                rest = t
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    row[t ^ low] = sign
-                    sign, other = other, sign
-                red.add(row)
-            delta[p] = red
-            cleared = red.rows
-        return delta
-
     def delta_reducer(self, p: int) -> SparseReducer:
         """Echelon form of delta_p, rows indexed by the (p+1)-simplices, columns
         by the p-simplices in the keys' own ``<`` order.
 
         The row of t has (-1)**i at t minus its i-th smallest vertex, times
         (-1)**(p+1) so that its leading entry is +1: the smallest mask in it
-        is t minus its largest vertex. Rows of the pivots of
-        ``delta_reducer(p+1)`` are cleared. The degrees -1..max_p are built
-        together (``_reducers``); any other delta_p is zero, as its only row
-        is the empty face's (p = -2) or it has none, and gets a fresh empty
-        reducer.
+        is t minus its largest vertex. The first call eliminates every degree
+        in one pass from ``max_p`` down to -1, each clearing the rows of the
+        pivots of the degree above it; with a parent K_{I∖v} each reducer
+        starts from the parent's rows and adds only the faces through v
+        (module docstring). Later calls look the reducer up. Any other
+        delta_p is zero, as its only row is the empty face's (p = -2) or it
+        has none, and gets a fresh empty reducer.
         """
-        red = self._reducers().get(p)
+        delta = self._delta
+        if not delta:
+            parent = self._parent
+            if parent is None:
+                new, inherited = self.I, {}  # every face but the empty one, whose row is zero
+            else:
+                parent.delta_reducer(-1)  # runs the parent's pass if it has not run
+                new, inherited = self.I ^ parent.I, parent._delta
+            char = self.char
+            minus_one = char - 1
+            cleared: dict = {}
+            for d in range(self.max_p, -2, -1):
+                red = SparseReducer(char)
+                if d in inherited:
+                    red.rows.update(inherited[d].rows)
+                # the leading column of a row is t minus its largest vertex, with
+                # sign (-1)**(d+1); start at -1 for even d so that it is +1
+                start = (minus_one, 1) if d % 2 == 0 else (1, minus_one)
+                for t in self.simplices.get(d + 1, ()):
+                    if not t & new or t in cleared:
+                        continue
+                    row = {}
+                    sign, other = start
+                    rest = t
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        row[t ^ low] = sign
+                        sign, other = other, sign
+                    red.add(row)
+                delta[d] = red
+                cleared = red.rows
+        red = delta.get(p)
         return red if red is not None else SparseReducer(self.char)
 
     def betti(self, p: int) -> int:
@@ -282,8 +276,7 @@ class SubsetCohomology:
             return 0
         if p == -1:
             return 0 if self.simplices.get(0) else 1
-        delta = self._reducers()
-        return len(self.simplices[p]) - delta[p].rank - delta[p - 1].rank
+        return len(self.simplices[p]) - self.delta_reducer(p).rank - self.delta_reducer(p - 1).rank
 
     def basis(self, p: int) -> CohomologyBasis:
         """H̃^p's essential columns from one quotient elimination on the free
@@ -292,19 +285,13 @@ class SubsetCohomology:
         cached = self._basis.get(p)
         if cached is not None:
             return cached
-        char = self.char
-        if p not in self.simplices:
-            basis = CohomologyBasis([], SparseReducer(char), SparseReducer(char))
-            self._basis[p] = basis
-            return basis
-        delta = self._reducers()
-        kernel = delta[p]
+        kernel = self.delta_reducer(p)
         pivots = kernel.rows
-        quotient = SparseReducer(char)
-        for s in delta[p - 1].rows if p >= 0 else ():  # delta_{-2} is zero
+        quotient = SparseReducer(self.char)
+        for s in self.delta_reducer(p - 1).rows:
             quotient.add(self.coboundary_vector(p, s, pivots))
         essential = [
-            f for f in self.simplices[p] if f not in pivots and f not in quotient.rows
+            f for f in self.simplices.get(p, ()) if f not in pivots and f not in quotient.rows
         ]
         if len(essential) != self.betti(p):
             raise InternalInconsistency(
@@ -376,9 +363,10 @@ class CohomologyEngine:
     per twin orbit is, and a cone K_I is never built for a rank. The engine
     is the only place a request names its complex, field and vertex cap: a K
     with more than ``max_m`` vertices raises ``ResourceLimit`` before any
-    work. The field is its characteristic ``char``, 0 for Q. Besides K, the
-    engine keeps K's minimal non-faces; ``is_cone``, ``betti_table``,
-    ``factors`` and ``twins`` are all worked out from them.
+    work. The field is its characteristic ``char``: 0 for Q, or an odd prime
+    that ``prime_field`` accepts; any other int raises its ``ValueError``.
+    Besides K, the engine keeps K's minimal non-faces; ``is_cone``,
+    ``betti_table``, ``factors`` and ``twins`` are all worked out from them.
 
     ``factors`` are the vertex sets V of K's join factors, as masks,
     increasing: the minimal non-faces merged wherever they share a vertex.
@@ -395,6 +383,8 @@ class CohomologyEngine:
     def __init__(self, K: SimplicialComplex, char: int = 0, max_m: int = DEFAULT_MAX_M):
         if K.m > max_m:
             raise ResourceLimit(f"m = {K.m} exceeds the configured cap {max_m}")
+        if char:
+            prime_field(char)
         self.K = K
         self.char = char
         self._cache: dict[int, SubsetCohomology] = {}
@@ -434,7 +424,7 @@ class CohomologyEngine:
         for c, members in self.twins:
             inside = I & c
             if inside:
-                I ^= inside ^ sum(members[: masks.card(inside)])
+                I ^= inside ^ sum(members[: inside.bit_count()])
         return I
 
     def is_cone(self, I: int) -> bool:
@@ -531,8 +521,8 @@ class CohomologyEngine:
             moves: list[tuple[int, int]] = []  # (from, to), each ``to`` vacant when it moves
             for c, members, inside in classes:
                 if i & c:
-                    k = masks.card(inside)
-                    j = masks.card(inside & (i - 1))
+                    k = inside.bit_count()
+                    j = (inside & (i - 1)).bit_count()
                     ibit, top = members[j], members[k - 1]
                     moves = list(zip(members[j + 1 : k], members[j:k]))
                     break
@@ -563,7 +553,7 @@ def _shifted(vec: dict, moves: list[tuple[int, int]], char: int) -> dict:
     for s, c in vec.items():
         for v, w in moves:
             if s & v:
-                if masks.card(s & (v - 1) & -(w << 1)) % 2:
+                if (s & (v - 1) & -(w << 1)).bit_count() % 2:
                     c = char - c
                 s ^= v | w
         out[s] = c

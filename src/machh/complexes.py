@@ -81,7 +81,7 @@ class SimplicialComplex:
         return tuple(sorted(out, key=masks.vertices))
 
     def dim(self) -> int:
-        return max(masks.card(f) for f in self.faces) - 1
+        return max(f.bit_count() for f in self.faces) - 1
 
     def __eq__(self, other) -> bool:
         return (

@@ -122,7 +122,7 @@ class RowComplex:
                 for i, block in engine.psi(I, p, wanted).items():
                     rows = rows_of[I ^ i]
                     # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i)
-                    positive = (p + masks.card(I & (i - 1))) % 2 == 1
+                    positive = (p + (I & (i - 1)).bit_count()) % 2 == 1
                     for c, values in enumerate(block, col):
                         for row, v in zip(rows, values):
                             if v and row is not None:
@@ -160,7 +160,7 @@ def h_ranks(engine: CohomologyEngine) -> BigradedRankTable:
     for V in engine.factors:
         entries: dict = {}
         for I, bettis in engine.betti_table(V).items():
-            l = masks.card(I)
+            l = I.bit_count()
             for p, b in bettis.items():
                 key = (-(l - p - 1), 2 * l)
                 entries[key] = entries.get(key, 0) + b
@@ -175,7 +175,7 @@ def assemble_row(engine: CohomologyEngine, p: int, V: int | None = None) -> RowC
     for I, bettis in engine.betti_table(V).items():
         b = bettis.get(p)
         if b:
-            groups.setdefault(masks.card(I), []).append((I, b))
+            groups.setdefault(I.bit_count(), []).append((I, b))
     dims = {l: sum(b for _, b in g) for l, g in groups.items()}
     return RowComplex(p=p, groups=groups, dims=dims, engine=engine)
 

@@ -35,10 +35,6 @@ def vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def card(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(m: int) -> int:
     return (1 << m) - 1
 

@@ -51,7 +51,7 @@ def check_theorem1(engine: CohomologyEngine, sigma: int) -> Thm1Report:
     (witnessing_J is the lexicographically least such J), else 0.
     """
     K = engine.K
-    n = masks.card(sigma) - 1
+    n = sigma.bit_count() - 1
     if n < 1 or sigma & ~masks.full_mask(K.m):
         raise BadSigma(f"sigma must have >= 2 vertices inside [{K.m}]")
     outside = [v for v in range(1, K.m + 1) if not sigma & masks.bit(v)]

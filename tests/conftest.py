@@ -113,7 +113,7 @@ def unfactored_h_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
     """H*(Z_K) summed over every non-cone subset, with no join factorisation."""
     entries: dict = {}
     for I, bettis in engine.betti_table().items():
-        l = M.masks.card(I)
+        l = I.bit_count()
         for p, b in bettis.items():
             key = (-(l - p - 1), 2 * l)
             entries[key] = entries.get(key, 0) + b
@@ -145,8 +145,8 @@ def reference_psi(eng: M.CohomologyEngine, I: int, i: int, p: int) -> list[list]
     for c, members in eng.twins:
         inside = I & c
         if inside and ibit & c:
-            k = masks.card(inside)
-            j = masks.card(inside & (ibit - 1))
+            k = inside.bit_count()
+            j = (inside & (ibit - 1)).bit_count()
             ibit, top = members[j], members[k - 1]
             moves = list(zip(members[j + 1 : k], members[j:k]))
     src = eng.subset(R).basis(p)

@@ -191,7 +191,7 @@ def test_criterion_4e_glue_restriction_identity(capsys):
         candidates = [
             s
             for s in range(1 << K.m)
-            if masks.card(s) >= 2
+            if s.bit_count() >= 2
             and s not in K.faces
             and all(s & ~masks.bit(v) in K.faces for v in masks.vertices(s))
         ]

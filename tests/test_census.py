@@ -45,7 +45,7 @@ def test_theorem1_on_every_admissible_sigma():
     for K in CENSUS:
         engine = CohomologyEngine(K)
         for sigma in range(1 << K.m):
-            if M.masks.card(sigma) < 2 or not check_theorem1(engine, sigma).applicable:
+            if sigma.bit_count() < 2 or not check_theorem1(engine, sigma).applicable:
                 continue
             admissible += 1
             assert verify_theorem1(K, sigma).verdict, (K, sigma)

@@ -175,6 +175,14 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             prime_field(2)
 
+    @pytest.mark.parametrize("char", [4, 1, -3, 2, 6, 15])
+    def test_engine_and_theorem_refuse_a_characteristic_that_is_no_field(self, char):
+        # Z/4 and Z/6 are rings with zero divisors; 1, -3 and 2 are no odd prime
+        with pytest.raises(ValueError, match="odd prime"):
+            CohomologyEngine(M.square(), char)
+        with pytest.raises(ValueError, match="odd prime"):
+            verify_theorem1(M.square(), masks.mask_of([1, 3], 4), char)
+
 
 class TestScalarTypes:
     """Every stored scalar is exact and in its field: Q never holds a float,
@@ -334,7 +342,7 @@ class TestSkippedWork:
             scanned = {}
             for f in K.faces:
                 if not f & ~I:
-                    scanned.setdefault(masks.card(f) - 1, []).append(f)
+                    scanned.setdefault(f.bit_count() - 1, []).append(f)
             assert sc.simplices == {p: sorted(g) for p, g in scanned.items()}
             full = {}
             for p in range(-2, sc.max_p + 1):
@@ -514,6 +522,12 @@ def assert_cached_subsets_match_scratch(eng: CohomologyEngine) -> int:
             assert basis.representatives == ref.representatives, (*where, p)
             for rep in ref.representatives:
                 assert basis.express(rep) == ref.express(rep), (*where, p)
+        for p in (-2, fresh.max_p + 1, fresh.max_p + 2):
+            # degrees with no faces: delta_reducer's fresh empty reducers give the zero group
+            for built in (sc, fresh):
+                basis = built.basis(p)
+                assert basis.rank == built.betti(p) == 0, (*where, p)
+                assert basis.representatives == [] and basis.express({}) == [], (*where, p)
     return chained
 
 
@@ -586,6 +600,84 @@ class TestVertexChain:
             for red in [*sc._delta.values(), *(basis._kernel for basis in sc._basis.values())]:
                 assert red.exprs is None, (K, masks.mask_str(sc.I))
                 assert all(type(row) is dict for row in red.rows.values()), (K, masks.mask_str(sc.I))
+
+
+def spy_eliminations(mp: pytest.MonkeyPatch) -> tuple[list, list]:
+    """Patch ``SparseReducer.add``, ``SubsetCohomology.delta_reducer``,
+    ``SubsetCohomology.basis`` and ``double.dense_rank`` where their callers
+    look them up. Returns a list that gets (reducer, names of the spied calls
+    open) per ``add``, and one that gets every reducer ``delta_reducer``
+    returns."""
+    adds, returned = [], []
+    open_calls: list[str] = []
+
+    def spy(fn, name, out=None):
+        def call(*args, **kwargs):
+            open_calls.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+            if out is not None:
+                out.append(result)
+            return result
+
+        return call
+
+    add = SparseReducer.add
+
+    def add_spy(red, *args, **kwargs):
+        adds.append((red, set(open_calls)))
+        return add(red, *args, **kwargs)
+
+    mp.setattr(SparseReducer, "add", add_spy)
+    mp.setattr(SubsetCohomology, "delta_reducer", spy(SubsetCohomology.delta_reducer, "delta_reducer", returned))
+    mp.setattr(SubsetCohomology, "basis", spy(SubsetCohomology.basis, "basis"))
+    mp.setattr("machh.double.dense_rank", spy(M.double.dense_rank, "dense_rank"))
+    return adds, returned
+
+
+class TestOneWayIntoEliminations:
+    """Every δ-row elimination runs inside ``delta_reducer``: an ``add``
+    outside it belongs to a basis's quotient or to a row-complex rank, and a
+    reducer that ``delta_reducer`` returns got every row inside it."""
+
+    @staticmethod
+    def run_and_check(K, char, rng, sigma=None) -> None:
+        """``hh_ranks`` on K (and, with sigma, on K with sigma glued after
+        ``inherit``), then every degree of every subset in a shuffled order,
+        so that roots and chained subsets both occur; then the check."""
+        with pytest.MonkeyPatch.context() as mp:
+            adds, returned = spy_eliminations(mp)
+            eng = CohomologyEngine(K, char)
+            hh_ranks(eng)
+            if sigma is not None:
+                glued = CohomologyEngine(M.glue_simplex(K, sigma), char)
+                glued.inherit(eng, sigma)
+                hh_ranks(glued)
+                eng = glued
+            build_every_subset(eng, rng)
+            for sc in list(eng._cache.values()):
+                for p in range(-2, sc.max_p + 3):
+                    sc.betti(p)
+                    sc.basis(p)
+                    sc.delta_reducer(p)
+        outside = [calls for _, calls in adds if not calls & {"delta_reducer", "basis", "dense_rank"}]
+        assert not outside, (K, len(outside))
+        deltas = {id(red) for red in returned}
+        assert all("delta_reducer" in calls for red, calls in adds if id(red) in deltas), K
+        assert any("delta_reducer" in calls for _, calls in adds), K
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_m=7) | relabelled_k2r(), FIELDS, st.randoms(use_true_random=False))
+    def test_root_and_chained_subsets(self, K, char, rng):
+        self.run_and_check(K, char, rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(glued_pairs(), FIELDS, st.randoms(use_true_random=False))
+    def test_glued_engine_after_inherit(self, pair, char, rng):
+        K, sigma = pair
+        self.run_and_check(K, char, rng, sigma)
 
 
 def eager_parts(sc: SubsetCohomology, p: int) -> tuple[dict, list[dict]]:
@@ -709,7 +801,7 @@ class TestTwinOrbits:
             assert members == tuple(masks.bit(v) for v in masks.vertices(c))
         for I in range(1 << K.m):
             R = eng.canon(I)
-            assert R <= I and masks.card(R) == masks.card(I), (K, masks.mask_str(I))
+            assert R <= I and R.bit_count() == I.bit_count(), (K, masks.mask_str(I))
             assert eng.canon(R) == R
             if not eng.is_cone(I):
                 assert not eng.is_cone(R), (K, masks.mask_str(I))
@@ -719,7 +811,7 @@ class TestTwinOrbits:
         for r in [1, 2, 9, 16, 33]:
             K = M.k2r_family(r).complex
             classes = [c for c, _ in CohomologyEngine(K).twins]
-            assert [masks.card(c) for c in classes] == [2] * (K.m // 2), r
+            assert [c.bit_count() for c in classes] == [2] * (K.m // 2), r
             assert sum(classes) == masks.full_mask(K.m), r
 
     @settings(max_examples=60, deadline=None)
@@ -818,7 +910,7 @@ def filtered_faces(K: M.SimplicialComplex, I: int) -> dict[int, list[int]]:
     groups: dict[int, list[int]] = {}
     for f in sorted(K.faces):
         if not f & ~I:
-            groups.setdefault(masks.card(f) - 1, []).append(f)
+            groups.setdefault(f.bit_count() - 1, []).append(f)
     return groups
 
 

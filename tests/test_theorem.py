@@ -78,7 +78,7 @@ class TestCheckTheorem1:
             candidates = [
                 s
                 for s in range(1 << K.m)
-                if masks.card(s) >= 2
+                if s.bit_count() >= 2
                 and s not in K.faces
                 and all(s & ~masks.bit(v) in K.faces for v in masks.vertices(s))
             ]
