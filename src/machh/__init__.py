@@ -17,7 +17,6 @@ from .complexes import (
 )
 from .cohomology import CohomologyEngine
 from .double import BigradedRankTable, RowComplex, assemble_row, h_ranks, hh_ranks
-from .fields import prime_field
 from .theorem import check_theorem1, verify_theorem1
 from . import errors, masks
 
@@ -36,7 +35,6 @@ __all__ = [
     "assemble_row",
     "h_ranks",
     "hh_ranks",
-    "prime_field",
     "check_theorem1",
     "verify_theorem1",
     "errors",

@@ -26,11 +26,10 @@ import tempfile
 from pathlib import Path
 
 from . import masks
-from .cohomology import DEFAULT_MAX_M, CohomologyEngine
+from .cohomology import DEFAULT_MAX_M, CohomologyEngine, prime_field
 from .complexes import glue_simplex, join, k2r_family, k2r_vertex_count, wedge
 from .double import h_ranks, hh_ranks
 from .errors import MachhError, ParseError, ResourceLimit
-from .fields import prime_field
 from .serialization import (
     complex_to_dict,
     load_complex,

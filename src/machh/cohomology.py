@@ -76,13 +76,26 @@ No elimination runs whose result is already fixed:
 
 from __future__ import annotations
 
+from math import isqrt
+
 from . import masks
 from .complexes import SimplicialComplex
 from .errors import InternalInconsistency, ResourceLimit
-from .fields import prime_field
 from .linalg import SparseReducer, kernel_basis
 
 DEFAULT_MAX_M = 22
+PRIME_LIMIT = 1 << 31  # keeps the trial-division primality test instant
+
+
+def prime_field(p: int) -> int:
+    """The characteristic of GF(p), once p is checked to be an odd prime int below 2**31."""
+    if not masks.is_int(p):
+        raise ValueError(f"a field's characteristic must be an int, got {p!r}")
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"GF(p) requires p < 2**31, got {p}")
+    if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"GF(p) requires an odd prime, got {p}")
+    return p
 
 
 class CohomologyBasis:
@@ -363,8 +376,9 @@ class CohomologyEngine:
     per twin orbit is, and a cone K_I is never built for a rank. The engine
     is the only place a request names its complex, field and vertex cap: a K
     with more than ``max_m`` vertices raises ``ResourceLimit`` before any
-    work. The field is its characteristic ``char``: 0 for Q, or an odd prime
-    that ``prime_field`` accepts; any other int raises its ``ValueError``.
+    work. The field is its characteristic ``char``, an int: 0 for Q, or an
+    odd prime below 2**31 for GF(p). Anything else (4, 3.5, 32003.0, a
+    bool) raises ``prime_field``'s ``ValueError``.
     Besides K, the engine keeps K's minimal non-faces; ``is_cone``,
     ``betti_table``, ``factors`` and ``twins`` are all worked out from them.
 
@@ -383,7 +397,7 @@ class CohomologyEngine:
     def __init__(self, K: SimplicialComplex, char: int = 0, max_m: int = DEFAULT_MAX_M):
         if K.m > max_m:
             raise ResourceLimit(f"m = {K.m} exceeds the configured cap {max_m}")
-        if char:
+        if char or not masks.is_int(char):  # an int 0 is Q
             prime_field(char)
         self.K = K
         self.char = char

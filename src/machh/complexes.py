@@ -42,8 +42,8 @@ class SimplicialComplex:
         A face is expanded only when it is first seen: its subfaces are then
         either new, and expanded in turn, or already closed below.
         """
-        if m < 1:
-            raise ValueError(f"ground set size must be >= 1, got {m}")
+        if not masks.is_int(m) or m < 1:
+            raise ValueError(f"ground set size must be an int >= 1, got {m!r}")
         _check_ground_set(m)
         faces: set[int] = {0}
         for facet in facets:
@@ -163,8 +163,8 @@ def two_points() -> SimplicialComplex:
 
 def k2r_vertex_count(r: int) -> int:
     """Ground-set size m of ``k2r_family(r)``, by its recursion, building nothing."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    if not masks.is_int(r) or r < 1:
+        raise ValueError(f"r must be an int >= 1, got {r!r}")
     m = 4
     while r > 2:
         r = (r + 1) // 2  # (r + 1) // 2 == r // 2 for even r

@@ -9,6 +9,11 @@ from .errors import VertexOutOfRange
 MAX_GROUND_SET = 30
 
 
+def is_int(x) -> bool:
+    """Whether x is an int and not a bool, which ``int`` also counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def bit(v: int) -> int:
     return 1 << (v - 1)
 
@@ -17,7 +22,7 @@ def mask_of(verts: Iterable[int], m: int) -> int:
     """Build a mask from 1-based vertex labels, validating the range."""
     mask = 0
     for v in verts:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1 or v > m:
+        if not is_int(v) or v < 1 or v > m:
             raise VertexOutOfRange(f"vertex {v!r} not in 1..{m}")
         mask |= bit(v)
     return mask

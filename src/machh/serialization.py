@@ -11,10 +11,6 @@ from .double import BigradedRankTable
 from .errors import ParseError, ResourceLimit
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def complex_from_dict(doc: dict, max_m: int | None = None) -> SimplicialComplex:
     """The complex a document describes.
 
@@ -25,10 +21,10 @@ def complex_from_dict(doc: dict, max_m: int | None = None) -> SimplicialComplex:
         raise ParseError("top-level value must be an object")
     m = doc.get("m")
     facets = doc.get("facets")
-    if not _is_int(m) or m < 1:
+    if not masks.is_int(m) or m < 1:
         raise ParseError('"m" must be a positive integer')
     if not isinstance(facets, list) or not all(
-        isinstance(f, list) and all(_is_int(v) for v in f) for f in facets
+        isinstance(f, list) and all(masks.is_int(v) for v in f) for f in facets
     ):
         raise ParseError('"facets" must be a list of integer vertex lists')
     if max_m is not None and m > max_m:

@@ -34,7 +34,7 @@ def test_counts():
     assert [len(labelled_complexes(m)) for m in range(1, 5)] == [1, 2, 9, 114]
 
 
-@pytest.mark.parametrize("char", [0, M.prime_field(32003)], ids=["Q", "gf:32003"])
+@pytest.mark.parametrize("char", [0, 32003], ids=["Q", "gf:32003"])
 def test_engine_equals_oracle(char):
     for K in CENSUS:
         assert hh_ranks(CohomologyEngine(K, char)).rows() == oracle_hh_rows(K), K

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import machh as M
 from machh import masks
-from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces
+from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces, prime_field
 from machh.double import assemble_row, h_ranks, hh_ranks
 from machh.errors import InternalInconsistency, NotApplicable
-from machh.fields import prime_field
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
 from machh.oracle import oracle_reduced_betti
 from machh.theorem import verify_theorem1
@@ -148,7 +147,7 @@ class TestInducedMapPsi:
 
 class TestPrimeField:
     def test_gf_matches_rationals_on_corpus(self, square, square_diag, case2_complex):
-        gf = prime_field()
+        gf = 32003
         rng = random.Random(99)
         corpus = [square, square_diag, case2_complex, M.k2r_family(3).complex] + [
             random_complex(rng, rng.randint(3, 6)) for _ in range(10)
@@ -161,13 +160,13 @@ class TestPrimeField:
                     rq = eng_q.rank(I, p)
                     rp = eng_p.rank(I, p)
                     assert rp <= rq
-                    assert rp == rq  # default prime: exact agreement on the corpus
+                    assert rp == rq  # GF(32003): exact agreement on the corpus
 
     def test_a_field_is_its_characteristic(self):
-        assert prime_field() == 32003
         assert prime_field(3) == 3
         assert CohomologyEngine(M.square(), prime_field(3)).char == 3
         assert CohomologyEngine(M.square()).char == 0
+        assert CohomologyEngine(M.square(), 0).char == 0
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
@@ -181,6 +180,14 @@ class TestPrimeField:
         with pytest.raises(ValueError, match="odd prime"):
             CohomologyEngine(M.square(), char)
         with pytest.raises(ValueError, match="odd prime"):
+            verify_theorem1(M.square(), masks.mask_of([1, 3], 4), char)
+
+    @pytest.mark.parametrize("char", [32003.0, 3.0, 3.5, 0.0, False, True, "3", None])
+    def test_engine_and_theorem_refuse_a_characteristic_that_is_no_int(self, char):
+        # a float field would run in float arithmetic; a bool is an int only to isinstance
+        with pytest.raises(ValueError):
+            CohomologyEngine(M.square(), char)
+        with pytest.raises(ValueError):
             verify_theorem1(M.square(), masks.mask_of([1, 3], 4), char)
 
 
@@ -220,7 +227,7 @@ class TestScalarTypes:
                 assert type(x) in (int, Fraction), (K, x)
 
     def test_gf_scalars_are_reduced_ints(self):
-        gf = prime_field(32003)
+        gf = 32003
         rng = random.Random(43)
         for _ in range(10):
             K = random_complex(rng, rng.randint(3, 6))
@@ -228,7 +235,7 @@ class TestScalarTypes:
                 assert type(x) is int and 0 <= x < gf, (K, x)
 
 
-FIELDS = st.sampled_from([0, prime_field(32003)])
+FIELDS = st.sampled_from([0, 32003])
 
 
 def boundary_row(t: int, p: int) -> dict:

@@ -52,6 +52,11 @@ class TestFromFacets:
         with pytest.raises(VertexOutOfRange):
             M.SimplicialComplex.from_facets(2, [[0, 1], [2]])
 
+    @pytest.mark.parametrize("m", [3.0, True, "3", None])
+    def test_rejects_a_ground_set_size_that_is_no_int(self, m):
+        with pytest.raises(ValueError):
+            M.SimplicialComplex.from_facets(m, [[1]])
+
     def test_facets_roundtrip(self, square):
         rebuilt = M.SimplicialComplex.from_facets(
             4, [list(masks.vertices(f)) for f in square.facets]
@@ -182,6 +187,16 @@ class TestK2rFamily:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             M.k2r_family(0)
+
+    @pytest.mark.parametrize("r", [2.5, 3.0, True, "3", None])
+    def test_rejects_an_index_that_is_no_int(self, r):
+        # 2.5 once built a 6-vertex member of total rank 2, and True member 1
+        from machh.complexes import k2r_vertex_count
+
+        with pytest.raises(ValueError):
+            M.k2r_family(r)
+        with pytest.raises(ValueError):
+            k2r_vertex_count(r)
 
     def test_vertex_count_builds_nothing(self):
         from machh.complexes import k2r_vertex_count

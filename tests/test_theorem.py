@@ -174,7 +174,7 @@ class TestVerifyTheorem1:
             moved.append(list(self._cache))
 
         for K, sigma in cases:
-            for char in (0, M.prime_field(32003)):
+            for char in (0, 32003):
                 monkeypatch.setattr(CohomologyEngine, "inherit", spy)
                 inherited = verify_theorem1(K, sigma, char)
                 monkeypatch.setattr(CohomologyEngine, "inherit", lambda self, before, sigma: None)
