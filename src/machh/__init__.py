@@ -16,7 +16,7 @@ from .complexes import (
     wedge,
 )
 from .cohomology import CohomologyEngine
-from .double import BigradedRankTable, RowComplex, assemble_row, h_ranks, hh_ranks
+from .double import BigradedRankTable, h_ranks, hh_ranks
 from .theorem import check_theorem1, verify_theorem1
 from . import errors, masks
 
@@ -31,8 +31,6 @@ __all__ = [
     "two_points",
     "CohomologyEngine",
     "BigradedRankTable",
-    "RowComplex",
-    "assemble_row",
     "h_ranks",
     "hh_ranks",
     "check_theorem1",

@@ -462,9 +462,9 @@ class CohomologyEngine:
         B = I ^ A  # A and B are not empty, so b_{-1} of either is 0
         return sum(self.rank(A, i) * self.rank(B, p - 1 - i) for i in range(p))
 
-    def betti_table(self, V: int | None = None) -> dict[int, dict[int, int]]:
+    def betti_table(self, V: int) -> dict[int, dict[int, int]]:
         """The nonzero reduced Betti numbers ``{I: {p: b}}`` over the subsets
-        I of V (every vertex by default), I increasing.
+        I of V, I increasing.
 
         Computed once per engine and V over the unions of the minimal
         non-faces inside V, the only subsets of V that are not cones; a cone
@@ -473,8 +473,6 @@ class CohomologyEngine:
         non-cone of V too, so the increasing walk has already met it (module
         docstring).
         """
-        if V is None:
-            V = masks.full_mask(self.K.m)
         table = self._betti_tables.get(V)
         if table is None:
             table = {}

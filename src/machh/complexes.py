@@ -107,10 +107,10 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
 
 def wedge(K: SimplicialComplex, vK: int, L: SimplicialComplex, vL: int) -> SimplicialComplex:
     """One-point union identifying vertex vL of L with vertex vK of K."""
-    if not (1 <= vK <= K.m):
-        raise NotAVertex(f"{vK} is not a vertex of the first complex")
-    if not (1 <= vL <= L.m):
-        raise NotAVertex(f"{vL} is not a vertex of the second complex")
+    if not (masks.is_int(vK) and 1 <= vK <= K.m):
+        raise NotAVertex(f"{vK!r} is not a vertex of the first complex")
+    if not (masks.is_int(vL) and 1 <= vL <= L.m):
+        raise NotAVertex(f"{vL!r} is not a vertex of the second complex")
     _check_ground_set(K.m + L.m - 1)
     relabel = {vL: vK}
     nxt = K.m + 1
@@ -127,6 +127,8 @@ def wedge(K: SimplicialComplex, vK: int, L: SimplicialComplex, vL: int) -> Simpl
 
 def glue_simplex(K: SimplicialComplex, sigma: int) -> SimplicialComplex:
     """K with the single top face sigma added; its boundary must be present."""
+    if not masks.is_int(sigma):
+        raise VertexOutOfRange(f"sigma {sigma!r} is not a vertex mask")
     if sigma == 0 or sigma & ~masks.full_mask(K.m):
         raise VertexOutOfRange(f"sigma {masks.mask_str(sigma)} not a nonempty subset of [{K.m}]")
     if sigma in K.faces:

@@ -32,17 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import masks
 from .cohomology import CohomologyEngine
 from .linalg import dense_rank
 
-__all__ = [
-    "BigradedRankTable",
-    "RowComplex",
-    "h_ranks",
-    "assemble_row",
-    "hh_ranks",
-]
+__all__ = ["BigradedRankTable", "h_ranks", "hh_ranks"]
 
 
 @dataclass(frozen=True)
@@ -150,27 +143,22 @@ class RowComplex:
         return out
 
 
-def h_ranks(engine: CohomologyEngine) -> BigradedRankTable:
-    """Bigraded ranks of H*(Z_K) by summing H̃^{l-k-1}(K_I) over |I| = l,
-    for the engine's complex K over its field, one join factor at a time.
-
-    The engine keeps its subsets for later calls, such as ``hh_ranks``.
-    """
+def _by_rows(engine: CohomologyEngine, ranks_of) -> BigradedRankTable:
+    """Convolve over the join factors V the tables ``ranks_of(row)``, ``{l: rank}``
+    at (-(l - p - 1), 2l), of V's rows p with a nonzero group."""
     table = BigradedRankTable({(0, 0): 1})
     for V in engine.factors:
         entries: dict = {}
-        for I, bettis in engine.betti_table(V).items():
-            l = I.bit_count()
-            for p, b in bettis.items():
-                key = (-(l - p - 1), 2 * l)
-                entries[key] = entries.get(key, 0) + b
+        for p in sorted({p for bettis in engine.betti_table(V).values() for p in bettis}):
+            for l, r in ranks_of(assemble_row(engine, p, V)).items():
+                entries[(-(l - p - 1), 2 * l)] = r
         table = table.convolve(BigradedRankTable(entries))
     return table
 
 
-def assemble_row(engine: CohomologyEngine, p: int, V: int | None = None) -> RowComplex:
-    """The degree-p row of the engine's complex on the subsets of V (every
-    vertex by default): its groups and dimensions. No block is built here."""
+def assemble_row(engine: CohomologyEngine, p: int, V: int) -> RowComplex:
+    """The degree-p row of the engine's complex on the subsets of V: its
+    groups and dimensions. No block is built here."""
     groups: dict[int, list] = {}
     for I, bettis in engine.betti_table(V).items():
         b = bettis.get(p)
@@ -180,15 +168,13 @@ def assemble_row(engine: CohomologyEngine, p: int, V: int | None = None) -> RowC
     return RowComplex(p=p, groups=groups, dims=dims, engine=engine)
 
 
+def h_ranks(engine: CohomologyEngine) -> BigradedRankTable:
+    """Bigraded ranks of H*(Z_K) for the engine's complex K over its field: the
+    dimensions of the rows whose cohomology ``hh_ranks`` ranks."""
+    return _by_rows(engine, lambda row: row.dims)
+
+
 def hh_ranks(engine: CohomologyEngine) -> BigradedRankTable:
     """Bigraded double cohomology ranks: cohomology of every row of (H*(Z_K), d'),
     for the engine's complex K over its field, one join factor at a time."""
-    table = BigradedRankTable({(0, 0): 1})
-    for V in engine.factors:
-        entries: dict = {}
-        for p in sorted({p for bettis in engine.betti_table(V).values() for p in bettis}):
-            row = assemble_row(engine, p, V)
-            for l, r in row.cohomology_ranks().items():
-                entries[(-(l - p - 1), 2 * l)] = r
-        table = table.convolve(BigradedRankTable(entries))
-    return table
+    return _by_rows(engine, lambda row: row.cohomology_ranks())

@@ -16,9 +16,10 @@ from .errors import BadSigma, NotApplicable
 class Thm1Report:
     """Outcome of the four gluing hypotheses for (K, sigma), |sigma| = n + 1.
 
-    ``relabeling`` is the order-preserving permutation sending sigma to the
-    initial segment [n+1] (old label -> new label); the hypotheses themselves
-    are label-invariant, so they are evaluated directly on sigma.
+    ``relabeling`` (old label -> new label) sends sigma's vertices in order onto
+    1..n+1 and the others in order onto n+2..m, so it preserves order only if
+    sigma = {1..n+1}: on the square with sigma = {1,3} it is (1, 3, 2, 4). The
+    hypotheses are label-invariant, so they are evaluated directly on sigma.
     """
 
     sigma: int
@@ -51,9 +52,9 @@ def check_theorem1(engine: CohomologyEngine, sigma: int) -> Thm1Report:
     (witnessing_J is the lexicographically least such J), else 0.
     """
     K = engine.K
-    n = sigma.bit_count() - 1
-    if n < 1 or sigma & ~masks.full_mask(K.m):
+    if not masks.is_int(sigma) or sigma.bit_count() < 2 or sigma & ~masks.full_mask(K.m):
         raise BadSigma(f"sigma must have >= 2 vertices inside [{K.m}]")
+    n = sigma.bit_count() - 1
     outside = [v for v in range(1, K.m + 1) if not sigma & masks.bit(v)]
     sigma_verts = masks.vertices(sigma)
 

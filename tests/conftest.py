@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import machh as M
 from machh.cohomology import _shifted
+from machh.double import RowComplex, assemble_row
 from machh.oracle import _matrix_rank
 
 
@@ -109,10 +110,20 @@ def brute_force_factors(K: M.SimplicialComplex) -> tuple[int, ...]:
     return tuple(sorted(V for V in least if V not in K.faces))
 
 
+def whole_table(engine: M.CohomologyEngine) -> dict:
+    """The engine's Betti table over every vertex, not one join factor."""
+    return engine.betti_table(M.masks.full_mask(engine.K.m))
+
+
+def row_of(engine: M.CohomologyEngine, p: int, V: int | None = None) -> RowComplex:
+    """The engine's degree-p row on the subsets of V (every vertex by default)."""
+    return assemble_row(engine, p, M.masks.full_mask(engine.K.m) if V is None else V)
+
+
 def unfactored_h_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
     """H*(Z_K) summed over every non-cone subset, with no join factorisation."""
     entries: dict = {}
-    for I, bettis in engine.betti_table().items():
+    for I, bettis in whole_table(engine).items():
         l = I.bit_count()
         for p, b in bettis.items():
             key = (-(l - p - 1), 2 * l)
@@ -160,10 +171,39 @@ def reference_psi(eng: M.CohomologyEngine, I: int, i: int, p: int) -> list[list]
     return block
 
 
-def full_blocks(row: M.RowComplex) -> dict:
+def full_blocks(row: RowComplex) -> dict:
     """``{l: block differential from l to l - 1}`` of a row, every block in
-    full as a dense list of lists: nothing cleared."""
-    return {l: row._block(l, frozenset()) for l in row.groups if l - 1 in row.groups}
+    full as a dense list of lists: nothing cleared, and no ``_block`` call.
+
+    Rows follow the order of ``groups[l - 1]`` and columns that of
+    ``groups[l]``. The block (I∖i, I) is ``reference_psi(I, i)`` times
+    (-1)**(p+1) * epsilon(i, I), with epsilon(i, I) = (-1)**(# elements of I
+    below i), and a negative entry is written ``char - v``.
+    """
+    eng, p, char = row.engine, row.p, row.engine.char
+    out = {}
+    for l, sources in row.groups.items():
+        if l - 1 not in row.groups:
+            continue
+        first_row, pos = {}, 0
+        for J, b in row.groups[l - 1]:
+            first_row[J], pos = pos, pos + b
+        mat = [[0] * row.dims[l] for _ in range(pos)]
+        col = 0
+        for I, b in sources:
+            for i in M.masks.vertices(I):
+                J = I & ~M.masks.bit(i)
+                if J not in first_row:
+                    continue
+                below = (I & (M.masks.bit(i) - 1)).bit_count()
+                negative = (p + 1 + below) % 2 == 1
+                for c, column in enumerate(reference_psi(eng, I, i, p), col):
+                    for r, v in enumerate(column, first_row[J]):
+                        if v:
+                            mat[r][c] = char - v if negative else v
+            col += b
+        out[l] = mat
+    return out
 
 
 def reference_rank(mat: list[list], char: int) -> int:
@@ -175,7 +215,7 @@ def reference_rank(mat: list[list], char: int) -> int:
     return len(textbook_rref([dict(enumerate(row)) for row in mat], columns, char))
 
 
-def uncleared_row_ranks(row: M.RowComplex) -> dict:
+def uncleared_row_ranks(row: RowComplex) -> dict:
     """A row's cohomology ranks ``{l: rank}`` from its full blocks
     ``full_blocks(row)``, every one ranked by ``reference_rank``."""
     ranks = {l: reference_rank(mat, row.engine.char) for l, mat in full_blocks(row).items()}
@@ -192,7 +232,7 @@ def unfactored_hh_ranks(engine: M.CohomologyEngine) -> M.BigradedRankTable:
     join factorisation and no clearing."""
     entries: dict = {}
     for p in range(-1, engine.K.dim() + 1):
-        for l, r in uncleared_row_ranks(M.assemble_row(engine, p)).items():
+        for l, r in uncleared_row_ranks(row_of(engine, p)).items():
             entries[(-(l - p - 1), 2 * l)] = r
     return M.BigradedRankTable(entries)
 

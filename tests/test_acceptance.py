@@ -15,7 +15,7 @@ import machh as M
 from machh import masks
 from machh.cli import main as cli_main
 from machh.cohomology import CohomologyEngine
-from machh.double import BigradedRankTable, assemble_row, hh_ranks
+from machh.double import BigradedRankTable, hh_ranks
 from machh.oracle import oracle_hh_rows, oracle_reduced_betti
 from machh.serialization import complex_to_dict
 from machh.theorem import check_theorem1, verify_theorem1
@@ -28,6 +28,7 @@ from conftest import (
     permute_complex,
     random_complex,
     random_permutation,
+    row_of,
     simplex,
     subprocess_env,
 )
@@ -120,7 +121,7 @@ def _rows_and_tables():
         _row_cache = []
         for K in corpus():
             eng = CohomologyEngine(K)
-            rows = [assemble_row(eng, p) for p in range(-1, K.dim() + 1)]
+            rows = [row_of(eng, p) for p in range(-1, K.dim() + 1)]
             entries = {}
             for row in rows:
                 for l, r in row.cohomology_ranks().items():

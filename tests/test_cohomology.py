@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces, prime_field
-from machh.double import assemble_row, h_ranks, hh_ranks
+from machh.double import h_ranks, hh_ranks
 from machh.errors import InternalInconsistency, NotApplicable
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
 from machh.oracle import oracle_reduced_betti
@@ -26,9 +26,11 @@ from conftest import (
     random_complex,
     reference_psi,
     relabelled_joins,
+    row_of,
     rref_kernel_basis,
     simplex,
     textbook_rref,
+    whole_table,
 )
 
 
@@ -199,8 +201,10 @@ class TestScalarTypes:
     def stored_scalars(K, char):
         eng = CohomologyEngine(K, char)
         for p in range(-1, K.dim() + 1):
-            for mat in full_blocks(assemble_row(eng, p)).values():
-                yield from (x for row in mat for x in row)
+            row = row_of(eng, p)
+            for l in row.groups:
+                if l - 1 in row.groups:
+                    yield from (x for r in row._block(l, frozenset()) for x in r)
         # psi below may build a cone target that no rank built, so build every
         # subset first and walk a snapshot of the cache
         for I in range(1 << K.m):
@@ -316,11 +320,11 @@ class TestSkippedWork:
                 all(f | masks.bit(v) in K.faces for f in inside) for v in masks.vertices(I)
             )
             assert eng.is_cone(I) == apex, (K, I)
-        table = list(eng.betti_table())
+        table = list(whole_table(eng))
         assert table == sorted(set(table)), K
         assert not any(eng.is_cone(I) for I in table), K
         for V in eng.factors:
-            inside = {I: b for I, b in eng.betti_table().items() if not I & ~V}
+            inside = {I: b for I, b in whole_table(eng).items() if not I & ~V}
             assert eng.betti_table(V) == inside, (K, masks.mask_str(V))
 
     def test_engine_of_a_join_keeps_no_whole_complex_union_set(self):
@@ -435,7 +439,7 @@ class TestFreeColumnBases:
     @given(complexes(max_m=7), FIELDS)
     def test_betti_table_matches_oracle(self, K, char):
         eng = CohomologyEngine(K, char)
-        table = eng.betti_table()
+        table = whole_table(eng)
         for I in range(1 << K.m):
             L = full_subcomplex(K, I)
             betti = {p: oracle_reduced_betti(L, p) for p in range(-1, K.dim() + 1)}
@@ -828,20 +832,20 @@ class TestTwinOrbits:
     )
     def test_transported_engine_equals_untransported(self, K, char):
         eng, ref = CohomologyEngine(K, char), untransported(K, char)
-        assert eng.betti_table() == ref.betti_table(), K
+        assert whole_table(eng) == whole_table(ref), K
         for V in eng.factors:
             assert eng.betti_table(V) == ref.betti_table(V), K
         assert h_ranks(eng).entries == h_ranks(ref).entries, K
         assert hh_ranks(eng).entries == hh_ranks(ref).entries, K
         assert all(eng.canon(I) == I for I in eng._cache), K  # no other subset is built
         for p in range(-1, K.dim() + 1):
-            blocks = full_blocks(assemble_row(eng, p))
+            blocks = full_blocks(row_of(eng, p))
             for l, mat in blocks.items():
                 nxt = blocks.get(l + 1)
                 if mat and nxt:
                     product = dense_mul(mat, nxt, 0)
                     assert all(not (x % char if char else x) for r in product for x in r), (K, p, l)
-        for I, bettis in eng.betti_table().items():
+        for I, bettis in whole_table(eng).items():
             for i in masks.vertices(I):
                 J = I & ~masks.bit(i)
                 if eng.canon(J) == J and eng.canon(I) == I:
@@ -878,7 +882,7 @@ class TestPsiPerSource:
 
     @staticmethod
     def assert_blocks_match(eng: CohomologyEngine, ref: CohomologyEngine, rng) -> None:
-        for I, bettis in eng.betti_table().items():
+        for I, bettis in whole_table(eng).items():
             for p in bettis:
                 some = sum(masks.bit(v) for v in masks.vertices(I) if rng.random() < 0.5)
                 for vertices in (some, I):
@@ -910,6 +914,37 @@ class TestPsiPerSource:
         glued.inherit(before, sigma)
         hh_ranks(glued)
         self.assert_blocks_match(glued, CohomologyEngine(L, char), rng)
+
+
+class TestRowBlocks:
+    """``RowComplex._block`` with nothing cleared equals ``conftest.full_blocks``,
+    which builds each block from ``reference_psi`` and the sign alone, on
+    every level of every row over the whole vertex set and over each factor."""
+
+    @staticmethod
+    def assert_blocks_match(eng: CohomologyEngine) -> None:
+        for V in (masks.full_mask(eng.K.m), *eng.factors):
+            for p in range(-1, eng.K.dim() + 1):
+                row = row_of(eng, p, V)
+                blocks = full_blocks(row)
+                for l in blocks:
+                    where = (eng.K, masks.mask_str(V), p, l)
+                    assert row._block(l, frozenset()) == blocks[l], where
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(max_m=7) | relabelled_joins(max_m=7) | relabelled_k2r(), FIELDS)
+    def test_blocks_equal_reference(self, K, char):
+        self.assert_blocks_match(CohomologyEngine(K, char))
+
+    @settings(max_examples=30, deadline=None)
+    @given(glued_pairs(), FIELDS)
+    def test_glued_blocks_after_inherit_equal_reference(self, pair, char):
+        K, sigma = pair
+        before = CohomologyEngine(K, char)
+        hh_ranks(before)
+        glued = CohomologyEngine(M.glue_simplex(K, sigma), char)
+        glued.inherit(before, sigma)
+        self.assert_blocks_match(glued)
 
 
 def filtered_faces(K: M.SimplicialComplex, I: int) -> dict[int, list[int]]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import machh as M
 from machh import masks
 from machh.cohomology import CohomologyEngine
-from machh.double import assemble_row, h_ranks, hh_ranks
+from machh.double import h_ranks, hh_ranks
 from machh.errors import ResourceLimit
 from machh.oracle import oracle_hh_rows
 
@@ -21,6 +21,7 @@ from conftest import (
     random_complex,
     random_permutation,
     relabelled_joins,
+    row_of,
     simplex,
     textbook_rref,
     uncleared_row_ranks,
@@ -69,16 +70,17 @@ class TestEngineCarriesTheRequest:
     def test_row_is_over_the_engines_field(self):
         gf3 = 3
         points = M.SimplicialComplex.from_facets(3, [[1], [2], [3]])
-        row = assemble_row(CohomologyEngine(points, gf3), 0)
+        row = row_of(CohomologyEngine(points, gf3), 0)
         assert row.engine.char == gf3
-        entries = [x for mat in full_blocks(row).values() for r in mat for x in r]
+        mats = [row._block(l, frozenset()) for l in row.groups if l - 1 in row.groups]
+        entries = [x for mat in mats for r in mat for x in r]
         assert entries and all(type(x) is int and 0 <= x < 3 for x in entries)
         assert 2 in entries  # a block sign of -1, reduced mod 3
 
 
 class TestAssembleRow:
     def test_square_row_zero(self, square):
-        row = assemble_row(CohomologyEngine(square), 0)
+        row = row_of(CohomologyEngine(square), 0)
         assert [I for I, _ in row.groups[2]] == [
             masks.mask_of([1, 3], 4),
             masks.mask_of([2, 4], 4),
@@ -87,12 +89,12 @@ class TestAssembleRow:
         assert row.cohomology_ranks() == {2: 2}
 
     def test_any_row_minus_one(self, square):
-        row = assemble_row(CohomologyEngine(square), -1)
+        row = row_of(CohomologyEngine(square), -1)
         assert row.groups == {0: [(0, 1)]}
         assert full_blocks(row) == {}
 
     def test_square_diag_row_one(self, square_diag):
-        row = assemble_row(CohomologyEngine(square_diag), 1)
+        row = row_of(CohomologyEngine(square_diag), 1)
         # two hollow triangles contribute in cardinality 3, the whole set in 4
         assert row.dims == {3: 2, 4: 2}
         assert row.cohomology_ranks() == {}  # all classes cancel within the row
@@ -134,7 +136,7 @@ class TestRowProperties:
             K = random_complex(rng, rng.randint(3, 6))
             eng = CohomologyEngine(K)
             for p in range(-1, K.dim() + 1):
-                blocks = full_blocks(assemble_row(eng, p))
+                blocks = full_blocks(row_of(eng, p))
                 for l, mat in blocks.items():
                     nxt = blocks.get(l + 1)
                     if nxt:
@@ -147,7 +149,7 @@ class TestRowProperties:
             K = random_complex(rng, rng.randint(3, 6))
             eng = CohomologyEngine(K)
             for p in range(-1, K.dim() + 1):
-                row = assemble_row(eng, p)
+                row = row_of(eng, p)
                 lhs = sum((-1) ** l * d for l, d in row.dims.items())
                 rhs = sum((-1) ** l * r for l, r in row.cohomology_ranks().items())
                 assert lhs == rhs
@@ -226,7 +228,7 @@ class TestClearing:
             targets.extend(I & ~masks.bit(i) for i in masks.vertices(vertices)) or psi(I, p, vertices)
         )
         for p in range(-1, K.dim() + 1):
-            row = assemble_row(engine, p)
+            row = row_of(engine, p)
             del targets[:]
             ranks = row.cohomology_ranks()
             called = set(targets)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from machh import masks, theorem
 from machh.cli import main
 from machh.cohomology import CohomologyEngine
 from machh.double import BigradedRankTable
-from machh.errors import BadSigma, InternalInconsistency, NotApplicable
+from machh.errors import BadSigma, InternalInconsistency, NotApplicable, NotAVertex, VertexOutOfRange
 from machh.serialization import complex_to_dict
 from machh.theorem import check_theorem1, verify_theorem1
 
@@ -200,3 +201,21 @@ def test_k2r_recorded_pair_of_an_odd_member_is_not_a_gluing_site():
     built = M.k2r_family(3)
     with pytest.raises(NotApplicable, match=r"hypotheses \[3\]"):
         verify_theorem1(built.complex, mask(built.non_edge, built.complex.m))
+
+
+@pytest.mark.parametrize("x", [5.0, 1.0, 2.0, True, "3", None])
+def test_entry_points_refuse_a_vertex_or_sigma_that_is_no_int(square, x):
+    """Each library entry point that takes a vertex or a sigma mask refuses a
+    value that is no int, or is a bool, where it is named, with the error it
+    uses for a bad value, before any mask arithmetic."""
+    with pytest.raises(VertexOutOfRange):
+        M.glue_simplex(square, x)
+    with pytest.raises(BadSigma):
+        check_theorem1(CohomologyEngine(square), x)
+    with pytest.raises(BadSigma):
+        verify_theorem1(square, x)
+    named = f"^{re.escape(repr(x))} is not a vertex of the"
+    with pytest.raises(NotAVertex, match=named + " first complex"):
+        M.wedge(square, x, square, 1)
+    with pytest.raises(NotAVertex, match=named + " second complex"):
+        M.wedge(square, 1, square, x)
