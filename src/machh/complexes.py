@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import masks
@@ -21,19 +22,18 @@ def _check_ground_set(m: int) -> None:
         raise ResourceLimit(f"m = {m} exceeds the {masks.MAX_GROUND_SET}-vertex cap")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SimplicialComplex:
     """Downward-closed face family on [m] containing the empty face.
 
-    Instances are immutable; all constructors return new values. For m >= 1
-    every singleton must be a face (checked by ``from_facets``); m = 0 is the
-    empty complex ``{∅}`` arising from restriction to the empty subset.
+    Instances are frozen values, equal and hash-equal when m and the faces
+    are; all constructors return new values. For m >= 1 every singleton must
+    be a face (checked by ``from_facets``); m = 0 is the empty complex
+    ``{∅}`` arising from restriction to the empty subset.
     """
 
-    __slots__ = ("m", "faces")
-
-    def __init__(self, m: int, faces: frozenset[int]):
-        self.m = m
-        self.faces = faces
+    m: int
+    faces: frozenset[int]
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -83,16 +83,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(f.bit_count() for f in self.faces) - 1
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.m == other.m
-            and self.faces == other.faces
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.faces))
-
     def __repr__(self) -> str:
         return f"SimplicialComplex(m={self.m}, facets=[{', '.join(masks.mask_str(f) for f in self.facets)}])"
 
@@ -127,7 +117,7 @@ def wedge(K: SimplicialComplex, vK: int, L: SimplicialComplex, vL: int) -> Simpl
 
 def glue_simplex(K: SimplicialComplex, sigma: int) -> SimplicialComplex:
     """K with the single top face sigma added; its boundary must be present."""
-    if not masks.is_int(sigma):
+    if not masks.is_int(sigma) or sigma < 0:
         raise VertexOutOfRange(f"sigma {sigma!r} is not a vertex mask")
     if sigma == 0 or sigma & ~masks.full_mask(K.m):
         raise VertexOutOfRange(f"sigma {masks.mask_str(sigma)} not a nonempty subset of [{K.m}]")
@@ -136,7 +126,7 @@ def glue_simplex(K: SimplicialComplex, sigma: int) -> SimplicialComplex:
     for v in masks.vertices(sigma):
         facet = sigma & ~masks.bit(v)
         if facet not in K.faces:
-            raise BoundaryMissing(masks.vertices(facet))
+            raise BoundaryMissing(f"boundary face {set(masks.vertices(facet))} missing")
     return SimplicialComplex(K.m, K.faces | {sigma})
 
 

@@ -48,10 +48,6 @@ class BoundaryMissing(MachhError):
 
     exit_code = 2
 
-    def __init__(self, face_vertices: tuple):
-        self.face_vertices = face_vertices
-        super().__init__(f"boundary face {set(face_vertices)} missing")
-
 
 class BadSigma(MachhError):
     """Invalid sigma for the gluing theorem checker."""

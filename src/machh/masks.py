@@ -29,15 +29,9 @@ def mask_of(verts: Iterable[int], m: int) -> int:
 
 
 def vertices(mask: int) -> tuple[int, ...]:
-    """1-based vertex labels of a mask, in increasing order."""
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    """1-based vertex labels of a mask, in increasing order. A negative int
+    reads as its low ``bit_length()`` bits, so every call ends."""
+    return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def full_mask(m: int) -> int:

@@ -64,16 +64,9 @@ def table_to_json_dict(table: BigradedRankTable) -> dict:
     }
 
 
-def result_document(
-    m: int,
-    char: int,
-    h: BigradedRankTable | None = None,
-    hh: BigradedRankTable | None = None,
-) -> dict:
+def result_document(m: int, char: int, h: BigradedRankTable, hh: BigradedRankTable | None = None) -> dict:
     """The result of ``h``/``hh`` over Q (``char`` 0) or GF(char)."""
-    doc: dict = {"m": m, "field": f"GF({char})" if char else "Q"}
-    if h is not None:
-        doc["h"] = table_to_json_dict(h)
+    doc: dict = {"m": m, "field": f"GF({char})" if char else "Q", "h": table_to_json_dict(h)}
     if hh is not None:
         doc["hh"] = table_to_json_dict(hh)
         doc["hh_total"] = hh.total()

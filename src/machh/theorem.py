@@ -22,7 +22,6 @@ class Thm1Report:
     hypotheses are label-invariant, so they are evaluated directly on sigma.
     """
 
-    sigma: int
     n: int
     conditions: tuple
     witnessing_J: int | None
@@ -84,7 +83,6 @@ def check_theorem1(engine: CohomologyEngine, sigma: int) -> Thm1Report:
     for new, old in enumerate([*sigma_verts, *outside], start=1):
         relabeling[old - 1] = new
     return Thm1Report(
-        sigma=sigma,
         n=n,
         conditions=conditions,
         witnessing_J=witness if applicable else None,

@@ -1,4 +1,8 @@
+import dataclasses
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,14 @@ from machh.errors import (
 )
 from machh.oracle import oracle_reduced_betti
 
-from conftest import complexes, full_subcomplex, is_valid_complex, random_complex
+from conftest import (
+    complexes,
+    full_subcomplex,
+    is_valid_complex,
+    permute_complex,
+    random_complex,
+    subprocess_env,
+)
 
 
 def mask(verts, m):
@@ -71,6 +82,22 @@ def facet_lists(draw):
     vertex_sets = st.sets(st.integers(1, m), min_size=1, max_size=m)
     extra = draw(st.lists(vertex_sets, max_size=12))
     return m, [[v] for v in range(1, m + 1)] + [sorted(f) for f in extra]
+
+
+class TestValue:
+    @pytest.mark.parametrize("field", ["m", "faces"])
+    def test_fields_are_frozen(self, square, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(square, field, getattr(square, field))
+
+    def test_facet_order_builds_one_value(self, square):
+        shuffled = M.SimplicialComplex.from_facets(4, [[1, 4], [3, 4], [1, 2], [2, 3]])
+        assert shuffled == square and hash(shuffled) == hash(square)
+        assert len({square: 0, shuffled: 1}) == 1
+
+    def test_relabelled_complex_is_another_value(self):
+        path = M.SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
+        assert permute_complex(path, {1: 2, 2: 1, 3: 3}) != path
 
 
 class TestClosure:
@@ -159,6 +186,31 @@ class TestGlueSimplex:
     def test_boundary_missing(self, square):
         with pytest.raises(BoundaryMissing):
             M.glue_simplex(square, mask([1, 2, 3], 4))
+
+    def test_negative_sigma_is_refused_at_once(self):
+        # in a child with capped address space and time, so a vertex loop
+        # that never ends fails fast instead of taking the machine's memory
+        code = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            import machh as M
+            from machh.errors import VertexOutOfRange
+            print(M.masks.mask_str(-2))
+            try:
+                M.glue_simplex(M.square(), -1)
+            except VertexOutOfRange as exc:
+                print(exc)
+            """
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=subprocess_env(),
+        )
+        assert (run.returncode, run.stdout) == (0, "{2}\nsigma -1 is not a vertex mask\n"), run.stderr
 
     def test_fill_edge_between_points(self):
         filled = M.glue_simplex(M.two_points(), mask([1, 2], 2))
