@@ -110,6 +110,23 @@ def brute_force_factors(K: M.SimplicialComplex) -> tuple[int, ...]:
     return tuple(sorted(V for V in least if V not in K.faces))
 
 
+def glue_sites(K: M.SimplicialComplex) -> list[int]:
+    """Every sigma with |sigma| >= 2 that K lacks but whose boundary K holds."""
+    return [
+        s
+        for s in range(1 << K.m)
+        if s.bit_count() >= 2
+        and s not in K.faces
+        and all(s & ~M.masks.bit(v) in K.faces for v in M.masks.vertices(s))
+    ]
+
+
+def full_glued_rows(K: M.SimplicialComplex, sigma: int, char: int = 0) -> dict:
+    """Rows of HH* of K with sigma glued, from a fresh engine that takes no
+    subset from K's and ranks every row."""
+    return M.hh_ranks(M.CohomologyEngine(M.glue_simplex(K, sigma), char)).rows()
+
+
 def whole_table(engine: M.CohomologyEngine) -> dict:
     """The engine's Betti table over every vertex, not one join factor."""
     return engine.betti_table(M.masks.full_mask(engine.K.m))

@@ -23,6 +23,7 @@ RANDOM = {
     "rand8": (8, [[1, 3], [1, 5], [2, 3, 5], [2, 3, 6], [2, 7], [3, 6, 7], [4, 6, 8], [5, 7], [7, 8]]),
 }
 K2R = [1, 2, 3, 4, 5, 6, 7, 8, 16]
+TRIANGLE = [[1, 2], [2, 3], [1, 3]]
 
 
 def _inputs() -> dict:
@@ -35,6 +36,12 @@ def _inputs() -> dict:
     docs["join"] = complex_to_dict(M.join(square, rand["rand6"]))
     docs["wedge"] = complex_to_dict(M.wedge(square, 1, rand["rand7"], 3))
     docs["ghost"] = {"m": 5, "facets": SQUARE}
+    # sigma = {11,12,13} fills the triangle: n = 2, so rows 3-6 come from the complex before gluing
+    triangle = M.SimplicialComplex.from_facets(3, TRIANGLE)
+    docs["k2r16_triangle"] = complex_to_dict(M.join(M.k2r_family(16).complex, triangle))
+    # rand6 joined with two points, relabelled by v -> 2v mod 9: the apexes 7, 8 become 5, 7
+    pair = M.join(rand["rand6"], M.two_points())
+    docs["rand6_points"] = {"m": 8, "facets": [sorted(2 * v % 9 for v in f) for f in complex_to_dict(pair)["facets"]]}
     return docs
 
 
@@ -57,6 +64,8 @@ CALLS = [
     ["check-thm1", "{d}/square.json", "1,3", "--out", "{d}/thm1_square.json"],
     ["check-thm1", "{d}/k2r8.json", "7,8"],
     ["check-thm1", "{d}/k2r7.json", "5,6", "--out", "{d}/thm1_k2r7.json"],
+    ["check-thm1", "{d}/k2r16_triangle.json", "11,12,13"],
+    ["check-thm1", "{d}/rand6_points.json", "5,7", "--field", "gf:32003", "--out", "{d}/thm1_rand6_points.json"],
     ["ladder", "--r-max", "8"],
     ["ladder", "--r-max", "8", "--format", "csv"],
     ["ladder", "--r-max", "8", "--format", "table"],
@@ -105,6 +114,8 @@ GOLDEN = {
     'check-thm1 square.json 1,3 --out thm1_square.json': '720e7e648b7403a3f6f1df7af508c05d13f5b5f149d33a36e6348cabc36f4e0a',
     'check-thm1 k2r8.json 7,8': '1845de8bef1d0df1372f6f694906f0671a07c48e7a2dd255a8c439bdbec136b7',
     'check-thm1 k2r7.json 5,6 --out thm1_k2r7.json': '6a7ec975cbcc5ccf80397d3fbbfed1a6d72cbe21b47021f2b8dcc4a6567fef33',
+    'check-thm1 k2r16_triangle.json 11,12,13': 'efd0a410667ea651b7189fe89cec72b51be9a456dbba862627b89d80f3ae8f5f',
+    'check-thm1 rand6_points.json 5,7 --field gf:32003 --out thm1_rand6_points.json': '2866ae68f2c4f80c5c133834f3f9f88ba0b950f0741e1903647ce4673761d77c',
     'ladder --r-max 8': '059b0565a18a1a4afa7d8d8b2ff9596e69661783313f20d2650025f5f6faf80f',
     'ladder --r-max 8 --format csv': 'a606fe05c2c342000e7c4d347020b76ffbe00fa9a2c14090548fec8e35cd144a',
     'ladder --r-max 8 --format table': 'b5d974c9797da47e40a382b64c93ab6069a898d78b18a4dee71f045e515d38f7',

@@ -8,12 +8,13 @@ import machh as M
 from machh import masks, theorem
 from machh.cli import main
 from machh.cohomology import CohomologyEngine
-from machh.double import BigradedRankTable
+from machh.double import BigradedRankTable, RowComplex
 from machh.errors import BadSigma, InternalInconsistency, NotApplicable, NotAVertex, VertexOutOfRange
 from machh.serialization import complex_to_dict
 from machh.theorem import check_theorem1, verify_theorem1
 
-from conftest import permute_complex, random_complex, random_permutation
+from conftest import full_glued_rows, glue_sites, permute_complex, random_complex, random_permutation
+from test_census import CENSUS
 
 
 def mask(verts, m):
@@ -33,6 +34,29 @@ def admissible_pair(rng, inner_m=4):
     P = permute_complex(K, perm)
     sigma_p = masks.mask_of((perm[v] for v in masks.vertices(sigma)), K.m)
     return P, sigma_p
+
+
+def k2r16_triangle():
+    """k2r r=16 joined with a triangle's boundary, and sigma the triangle: n = 2."""
+    triangle = M.SimplicialComplex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
+    return M.join(M.k2r_family(16).complex, triangle), mask([11, 12, 13], 13)
+
+
+def inject_tables(monkeypatch, sigma: int, before: dict, after: dict) -> list:
+    """Make ``verify_theorem1`` read the table ``before`` where it ranks K and
+    ``after`` where it ranks K with sigma glued. The returned list names the
+    tables not read yet."""
+    unread = ["before", "after"]
+    tables = {"before": before, "after": after}
+
+    def read(name, engine):
+        assert (sigma in engine.K.faces) == (name == "after"), name
+        unread.remove(name)  # a second read of a table fails here
+        return BigradedRankTable(tables[name])
+
+    monkeypatch.setattr(theorem, "hh_ranks", lambda engine: read("before", engine))
+    monkeypatch.setattr(theorem, "_by_rows", lambda engine, ranks_of: read("after", engine))
+    return unread
 
 
 class TestCheckTheorem1:
@@ -76,13 +100,7 @@ class TestCheckTheorem1:
         rng = random.Random(7)
         for _ in range(20):
             K = random_complex(rng, rng.randint(4, 6))
-            candidates = [
-                s
-                for s in range(1 << K.m)
-                if s.bit_count() >= 2
-                and s not in K.faces
-                and all(s & ~masks.bit(v) in K.faces for v in masks.vertices(s))
-            ]
+            candidates = glue_sites(K)
             if not candidates:
                 continue
             sigma = rng.choice(candidates)
@@ -132,17 +150,18 @@ class TestVerifyTheorem1:
         self, case2_complex, monkeypatch, after
     ):
         # the side before has only row -1, so its row 0 cannot lose one, whatever row 1 does
-        tables = iter([BigradedRankTable({(0, 0): 1}), BigradedRankTable(after)])
-        monkeypatch.setattr(theorem, "hh_ranks", lambda engine: next(tables))
+        unread = inject_tables(monkeypatch, mask([1, 2], 4), {(0, 0): 1}, after)
         v = verify_theorem1(case2_complex, mask([1, 2], 4))
+        assert not unread
         assert v.report.applicable and v.report.witnessing_J is None
         assert v.rows_before == {-1: 1}
         assert v.rows_after.get(0, 0) == 0
         assert not v.verdict
 
     def test_unchanged_rows_fail_the_witness_case(self, square, monkeypatch):
-        monkeypatch.setattr(theorem, "hh_ranks", lambda engine: BigradedRankTable({(0, 0): 1}))
+        unread = inject_tables(monkeypatch, mask([1, 3], 4), {(0, 0): 1}, {(0, 0): 1})
         v = verify_theorem1(square, mask([1, 3], 4))
+        assert not unread
         assert v.report.witnessing_J is not None
         assert not v.verdict
 
@@ -151,8 +170,9 @@ class TestVerifyTheorem1:
     ):
         path = tmp_path / "case2.json"
         path.write_text(json.dumps(complex_to_dict(case2_complex)))
-        monkeypatch.setattr(theorem, "hh_ranks", lambda engine: BigradedRankTable({(0, 0): 1}))
+        unread = inject_tables(monkeypatch, mask([1, 2], 4), {(0, 0): 1}, {(0, 0): 1})
         assert main(["check-thm1", str(path), "1,2"]) == 5
+        assert not unread
         out, err = capsys.readouterr()
         assert json.loads(out)["verdict"] == "fail"
         assert err.startswith("VerdictMismatch:")
@@ -184,9 +204,61 @@ class TestVerifyTheorem1:
                 subsets = moved.pop()
                 assert subsets and all(sigma & ~I for I in subsets), (K, sigma)
 
+    @pytest.mark.parametrize("char", [0, 32003], ids=["Q", "gf:32003"])
+    def test_rows_after_equal_a_full_glued_engine(self, char):
+        """The rows above n carried from K, and the rows up to n ranked on the
+        inherited engine, against a fresh glued engine that ranks every row."""
+        rng = random.Random(29)
+        cases = [(K, s) for K in CENSUS for s in glue_sites(K) if check_theorem1(CohomologyEngine(K), s).applicable]
+        for r in (2, 4, 6, 8):
+            built = M.k2r_family(r)
+            m = built.complex.m
+            perm = random_permutation(rng, m)
+            cases.append((permute_complex(built.complex, perm), mask((perm[v] for v in built.non_edge), m)))
+        cases += [admissible_pair(rng, 5) for _ in range(6)]
+        cases.append(k2r16_triangle())
+        for K, sigma in cases:
+            v = verify_theorem1(K, sigma, char)
+            assert v.rows_after == full_glued_rows(K, sigma, char), (K, sigma)
+
+    def test_glued_side_ranks_no_row_above_n(self, monkeypatch):
+        K, sigma = k2r16_triangle()
+        ranks = RowComplex.cohomology_ranks
+        ranked = []
+
+        def spy(row):
+            ranked.append((sigma in row.engine.K.faces, row.p))
+            return ranks(row)
+
+        monkeypatch.setattr(RowComplex, "cohomology_ranks", spy)
+        v = verify_theorem1(K, sigma)
+        assert v.verdict and v.report.n == 2
+        # the glued complex is one join factor, whose rows run from -1 to 6
+        assert sorted(p for glued, p in ranked if glued) == [-1, 0, 1, 2]
+
     def test_inherit_refuses_an_unrelated_engine(self, square, square_diag):
         with pytest.raises(InternalInconsistency):
             CohomologyEngine(square).inherit(CohomologyEngine(square_diag), mask([1, 3], 4))
+
+
+@pytest.mark.parametrize("char", [0, 32003], ids=["Q", "gf:32003"])
+def test_gluing_moves_only_rows_n_minus_1_and_n(char):
+    """Gluing sigma with |sigma| = n + 1 onto K (sigma not in K, its boundary
+    in K) leaves every row of HH* but n - 1 and n as it is, with no
+    hypothesis of the theorem assumed: the one-cell argument that lets
+    ``verify_theorem1`` carry the rows above n over from K."""
+    rng = random.Random(31)
+    complexes = CENSUS + [random_complex(rng, m) for m in (5, 6) for _ in range(24)]
+    sites = 0
+    for K in complexes:
+        before = M.hh_ranks(CohomologyEngine(K, char)).rows()
+        for sigma in glue_sites(K):
+            after = full_glued_rows(K, sigma, char)
+            n = sigma.bit_count() - 1
+            for p in (before.keys() | after.keys()) - {n - 1, n}:
+                assert before.get(p, 0) == after.get(p, 0), (K, sigma, p)
+            sites += 1
+    assert sites > 500
 
 
 @pytest.mark.parametrize("r", [2, 4, 6, 8])
