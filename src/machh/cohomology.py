@@ -22,6 +22,13 @@ No elimination runs whose result is already fixed:
   first ``delta_reducer`` call of a subset, made by the first Betti number
   or basis that needs one, eliminates every degree in one pass from the top
   degree down; b_{-1} reads the 0-faces alone.
+- One coboundary row per face per engine. The row of a face t depends only
+  on t and the field, so the engine keeps one table of them, made on first
+  need and never mutated, and every subset reads it. The pass stores a row
+  whose leading column is not yet a pivot as it is: an echelon form needs
+  only distinct leading columns with unit entries, the row leads with +1,
+  and ``SparseReducer.add`` would store an equal copy. Only a row whose lead
+  collides goes through ``add``, which copies it.
 - ``basis(p)`` needs one elimination more. Let F be the p-simplices that
   are not pivots of ``delta_reducer(p)``. A cocycle is orthogonal to every
   echelon row, and the row of a pivot q fixes the entry at q from entries at
@@ -31,8 +38,13 @@ No elimination runs whose result is already fixed:
   row space, and the pivot columns of an echelon form of the row space index
   a basis of the column space, so the coboundaries of those pivot columns
   span B. Cut down to F, they are eliminated once in an untracked quotient
-  reducer. The essential columns E (F minus the quotient's pivots) index a
-  basis of H̃^p: the representative of e ∈ E is the cocycle that is 1 at e
+  reducer. Their entries are read off the rows of the faces in F, in one
+  scan: the row of a p-face f holds (-1)**(i+p) at f minus its i-th smallest
+  vertex s, where the coboundary of s holds (-1)**i at f. So each column is
+  the coboundary times (-1)**p, the same unit for every column of a degree,
+  and the quotient's pivots and ``rref_rows`` are unchanged. The essential
+  columns E (F minus the quotient's pivots) index a basis of H̃^p: the
+  representative of e ∈ E is the cocycle that is 1 at e
   and 0 on the rest of F (``kernel_basis``). A cocycle's coordinates are its
   values on E minus those its values on the quotient's pivots carry through
   the fully reduced quotient rows, so ``express`` sums a per-column table.
@@ -98,6 +110,36 @@ def prime_field(p: int) -> int:
     return p
 
 
+def _delta_row(t: int, char: int) -> dict:
+    """The row of the face t in its coboundary: (-1)**i at t minus its i-th
+    smallest vertex, times (-1)**(|t|-1) so that the leading entry, at t minus
+    its top vertex (the smallest mask), is +1. The empty face's row is empty."""
+    row = {}
+    sign, other = (1, char - 1) if t.bit_count() % 2 else (char - 1, 1)
+    rest = t
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row[t ^ low] = sign
+        sign, other = other, sign
+    return row
+
+
+class _DeltaRows(dict):
+    """Face -> its ``_delta_row`` over the field of characteristic ``char``,
+    each row made on its first lookup and never mutated afterwards."""
+
+    __slots__ = ("char",)
+
+    def __init__(self, char: int):
+        super().__init__()
+        self.char = char
+
+    def __missing__(self, t: int) -> dict:
+        row = self[t] = _delta_row(t, self.char)
+        return row
+
+
 class CohomologyBasis:
     """Basis data for one reduced cohomology group H̃^p.
 
@@ -150,11 +192,16 @@ class CohomologyBasis:
                 )
             self._table, self._quotient = table, None
         pivots = kernel.rows
-        for s in vec:
-            if s not in table and s not in pivots:
+        out = [0] * self.rank
+        for s, c in vec.items():
+            coords = table.get(s)
+            if coords is not None:
+                for k, a in coords:
+                    out[k] += c * a
+            elif s not in pivots:
                 raise InternalInconsistency("vector is not a cochain of this group")
         get = vec.get
-        for row in kernel.rows.values():
+        for row in pivots.values():
             x = 0
             for s, c in row.items():
                 y = get(s)
@@ -162,16 +209,20 @@ class CohomologyBasis:
                     x += c * y
             if x % char if char else x:
                 raise InternalInconsistency("vector is not a cocycle of this group")
-        out = [0] * self.rank
-        for s, c in vec.items():
-            for k, a in table.get(s, ()):
-                out[k] += c * a
-        return [x % char for x in out] if char else out
+        if char:
+            for k, x in enumerate(out):
+                out[k] = x % char
+        return out
 
 
 class SubsetCohomology:
     """All cochain degrees of one full subcomplex K_I over the field of
-    characteristic ``char`` (0 for Q), computed lazily."""
+    characteristic ``char`` (0 for Q), computed lazily.
+
+    ``rows`` is the table of coboundary rows the subset reads, a
+    ``_DeltaRows`` over the same field: its engine's, which every subset of
+    the engine shares, or a fresh one of its own when none is given.
+    """
 
     __slots__ = (
         "I",
@@ -180,13 +231,22 @@ class SubsetCohomology:
         "faces",
         "max_p",
         "_parent",
+        "_rows",
         "_delta",
         "_basis",
     )
 
-    def __init__(self, K: SimplicialComplex, I: int, char: int = 0, parent: SubsetCohomology | None = None):
+    def __init__(
+        self,
+        K: SimplicialComplex,
+        I: int,
+        char: int = 0,
+        parent: SubsetCohomology | None = None,
+        rows: _DeltaRows | None = None,
+    ):
         self.I = I
         self.char = char
+        self._rows = _DeltaRows(char) if rows is None else rows
         self.faces = faces = K.faces
         self._parent = parent
         self.simplices: dict[int, list[int]] = {}
@@ -213,39 +273,19 @@ class SubsetCohomology:
         self._delta: dict[int, SparseReducer] = {}
         self._basis: dict[int, CohomologyBasis] = {}
 
-    def coboundary_vector(self, p: int, s: int, skip=()) -> dict:
-        """delta(s*) as a sparse vector over the p-simplices not in ``skip``,
-        s of degree p-1.
-
-        The entry at s ∪ {j} is (-1)**(# elements of s below j). As s ∪ {j} ⊆ I,
-        it is a p-simplex of K_I exactly when it is a face of K.
-        """
-        faces = self.faces
-        sign, other = 1, self.char - 1
-        vec = {}
-        rest = self.I
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if low & s:
-                sign, other = other, sign
-            elif (f := s | low) in faces and f not in skip:
-                vec[f] = sign
-        return vec
-
     def delta_reducer(self, p: int) -> SparseReducer:
         """Echelon form of delta_p, rows indexed by the (p+1)-simplices, columns
         by the p-simplices in the keys' own ``<`` order.
 
-        The row of t has (-1)**i at t minus its i-th smallest vertex, times
-        (-1)**(p+1) so that its leading entry is +1: the smallest mask in it
-        is t minus its largest vertex. The first call eliminates every degree
-        in one pass from ``max_p`` down to -1, each clearing the rows of the
+        The row of t is the table's ``_delta_row``, which leads with +1 at t
+        minus its largest vertex. The first call eliminates every degree in
+        one pass from ``max_p`` down to -1, each clearing the rows of the
         pivots of the degree above it; with a parent K_{I∖v} each reducer
-        starts from the parent's rows and adds only the faces through v
-        (module docstring). Later calls look the reducer up. Any other
-        delta_p is zero, as its only row is the empty face's (p = -2) or it
-        has none, and gets a fresh empty reducer.
+        starts from the parent's rows and takes only the faces through v. A
+        row with a free lead is stored as it is, and only the others go
+        through ``add`` (module docstring). Later calls look the reducer up.
+        Any other delta_p is zero, as its only row is the empty face's
+        (p = -2) or it has none, and gets a fresh empty reducer.
         """
         delta = self._delta
         if not delta:
@@ -255,30 +295,24 @@ class SubsetCohomology:
             else:
                 parent.delta_reducer(-1)  # runs the parent's pass if it has not run
                 new, inherited = self.I ^ parent.I, parent._delta
-            char = self.char
-            minus_one = char - 1
+            table = self._rows
             cleared: dict = {}
             for d in range(self.max_p, -2, -1):
-                red = SparseReducer(char)
+                red = SparseReducer(self.char)
+                rows = red.rows
                 if d in inherited:
-                    red.rows.update(inherited[d].rows)
-                # the leading column of a row is t minus its largest vertex, with
-                # sign (-1)**(d+1); start at -1 for even d so that it is +1
-                start = (minus_one, 1) if d % 2 == 0 else (1, minus_one)
+                    rows.update(inherited[d].rows)
                 for t in self.simplices.get(d + 1, ()):
                     if not t & new or t in cleared:
                         continue
-                    row = {}
-                    sign, other = start
-                    rest = t
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        row[t ^ low] = sign
-                        sign, other = other, sign
-                    red.add(row)
+                    row = table[t]
+                    lead = t ^ 1 << t.bit_length() - 1  # t minus its top vertex
+                    if lead in rows:
+                        red.add(row)
+                    else:
+                        rows[lead] = row  # already an echelon row (module docstring)
                 delta[d] = red
-                cleared = red.rows
+                cleared = rows
         red = delta.get(p)
         return red if red is not None else SparseReducer(self.char)
 
@@ -289,23 +323,36 @@ class SubsetCohomology:
             return 0
         if p == -1:
             return 0 if self.simplices.get(0) else 1
-        return len(self.simplices[p]) - self.delta_reducer(p).rank - self.delta_reducer(p - 1).rank
+        delta = self._delta
+        if not delta:
+            self.delta_reducer(-1)  # runs the pass, which fills every degree from max_p to -1
+        return len(self.simplices[p]) - delta[p].rank - delta[p - 1].rank
 
     def basis(self, p: int) -> CohomologyBasis:
         """H̃^p's essential columns from one quotient elimination on the free
-        columns; the representatives and the ``express`` table are built on
-        first use (module docstring)."""
+        columns, whose columns come from one scan over the free faces' rows;
+        the representatives and the ``express`` table are built on first use
+        (module docstring)."""
         cached = self._basis.get(p)
         if cached is not None:
             return cached
         kernel = self.delta_reducer(p)
         pivots = kernel.rows
+        free = [f for f in self.simplices.get(p, ()) if f not in pivots]
+        below = self._delta.get(p - 1)
+        # one column per pivot s of delta_{p-1}: the entries at s of the free faces' rows
+        columns: dict = {s: {} for s in below.rows} if below else {}
+        if columns:
+            table = self._rows
+            for f in free:
+                for s, c in table[f].items():
+                    column = columns.get(s)
+                    if column is not None:
+                        column[f] = c
         quotient = SparseReducer(self.char)
-        for s in self.delta_reducer(p - 1).rows:
-            quotient.add(self.coboundary_vector(p, s, pivots))
-        essential = [
-            f for f in self.simplices.get(p, ()) if f not in pivots and f not in quotient.rows
-        ]
+        for column in columns.values():
+            quotient.add(column)
+        essential = [f for f in free if f not in quotient.rows]
         if len(essential) != self.betti(p):
             raise InternalInconsistency(
                 f"representative count {len(essential)} != betti {self.betti(p)}"
@@ -402,6 +449,7 @@ class CohomologyEngine:
         self.K = K
         self.char = char
         self._cache: dict[int, SubsetCohomology] = {}
+        self._rows = _DeltaRows(char)
         self._non_faces = non_faces = _minimal_non_faces(K)
         factors = []
         for N in non_faces:
@@ -428,7 +476,7 @@ class CohomologyEngine:
                 low = rest & -rest
                 rest ^= low
                 parent = cache.get(I ^ low)
-            sc = SubsetCohomology(self.K, I, self.char, parent)
+            sc = SubsetCohomology(self.K, I, self.char, parent, self._rows)
             cache[I] = sc
         return sc
 
@@ -493,16 +541,20 @@ class CohomologyEngine:
         return table
 
     def inherit(self, before: "CohomologyEngine", sigma: int) -> None:
-        """Move ``before``'s subsets I with sigma ⊄ I into this engine.
+        """Move ``before``'s subsets I with sigma ⊄ I into this engine, and
+        share its table of coboundary rows.
 
         This engine's K must be ``before.K`` with the simplex sigma glued in:
         K_I is then the same complex for every I that misses a vertex of
-        sigma. Call it before this engine builds a subset, so the subsets of
-        the two engines are not held twice. Any other pair of engines is a
-        caller bug and raises ``InternalInconsistency``.
+        sigma, and a face's row depends only on the face and the field, so
+        the glued engine makes sigma's row on demand like any other. Call it
+        before this engine builds a subset, so the subsets of the two engines
+        are not held twice. Any other pair of engines is a caller bug and
+        raises ``InternalInconsistency``.
         """
         if self.char != before.char or self.K.faces != before.K.faces | {sigma}:
             raise InternalInconsistency("this engine's complex is not the other's with sigma glued")
+        self._rows = before._rows
         for I in [I for I in before._cache if sigma & ~I]:
             self._cache[I] = before._cache.pop(I)
 
@@ -521,8 +573,14 @@ class CohomologyEngine:
         representatives and I's classes are worked out once for all i.
         """
         R = self.canon(I)
-        classes = [(c, members, I & c) for c, members in self.twins if I & c]
-        shared = any(inside != c for c, _, inside in classes)
+        classes = []
+        shared = False  # R's orbit has another member
+        for c, members in self.twins:
+            inside = I & c
+            if inside:
+                classes.append((c, members, inside))
+                if inside != c:
+                    shared = True
         reps = None
         blocks = {}
         rest = vertices

@@ -55,7 +55,10 @@ class SparseReducer:
     A stored row is never mutated: ``add`` stores a fresh dict, and every
     reader either only reads rows or copies them first (``rref_rows``). So a
     reducer may start from a copy of another's ``rows`` dict and share the
-    rows themselves, as a subset's coboundary reducers share their parent's.
+    rows themselves, as a subset's coboundary reducers share their parent's,
+    and a caller may store a row with a unit leading entry at a free pivot
+    directly in ``rows``: the coboundary reducers store their engine's table
+    rows, so a stored row is shared engine-wide.
     """
 
     def __init__(self, p: int, track: bool = False):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import machh as M
+from machh import cohomology as C
 from machh import masks
 from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces, prime_field
 from machh.double import h_ranks, hh_ranks
@@ -17,6 +18,7 @@ from machh.theorem import verify_theorem1
 
 from conftest import (
     brute_force_factors,
+    coboundary_vector,
     complexes,
     dense_mul,
     full_blocks,
@@ -57,19 +59,21 @@ class TestCochainComplex:
             assert cohomology(tri, p).rank == 0
 
     def test_coboundary_squares_to_zero(self):
-        # delta_{p+1} ∘ delta_p = 0 for the engine's own coboundary, augmentation included
+        # delta_p ∘ delta_{p-1} = 0 for the rows of the engine's table, augmentation
+        # included: the row of each face u, then the rows of the faces in it
         rng = random.Random(13)
         for _ in range(25):
             K = random_complex(rng, rng.randint(2, 6))
-            for I in range(1 << K.m):
-                sc = SubsetCohomology(K, I)
-                for p in range(0, sc.max_p + 1):
-                    for s in sc.simplices[p - 1]:
-                        acc = {}
-                        for t, c in sc.coboundary_vector(p, s).items():
-                            for u, d in sc.coboundary_vector(p + 1, t).items():
-                                acc[u] = acc.get(u, 0) + c * d
-                        assert not any(acc.values()), (K, I, p, s)
+            for char in (0, 32003):
+                eng = CohomologyEngine(K, char)
+                hh_ranks(eng)
+                rows = eng._rows
+                for u in K.faces:
+                    acc = {}
+                    for t, c in rows[u].items():
+                        for s, d in rows[t].items():
+                            acc[s] = acc.get(s, 0) + c * d
+                    assert not any(x % char if char else x for x in acc.values()), (K, char, u)
 
     def test_circle(self):
         circle = boundary_sphere(1)
@@ -368,7 +372,7 @@ class TestSkippedWork:
                 def quotient(sources):
                     red = SparseReducer(char)
                     for s in sources:
-                        vec = sc.coboundary_vector(p, s)
+                        vec = coboundary_vector(sc, s)
                         red.add({t: c for t, c in vec.items() if t not in pivots})
                     return red
 
@@ -414,7 +418,7 @@ class TestFreeColumnBases:
                 vec: dict = {}
                 terms = [(x, rep) for x, rep in zip(a, basis.representatives)]
                 terms += [
-                    (rng.randint(-3, 3), sc.coboundary_vector(p, s))
+                    (rng.randint(-3, 3), coboundary_vector(sc, s))
                     for s in sc.simplices.get(p - 1, ())
                 ]
                 for x, v in terms:
@@ -435,6 +439,16 @@ class TestFreeColumnBases:
                         with pytest.raises(InternalInconsistency):
                             basis.express({faces[-1]: 1})  # a simplex of K_I, not of degree p
 
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_a_foreign_key_is_named_before_a_nonzero_coboundary(self, square, char):
+        # 1 at one vertex of the square is no cocycle, and 1 << m is no face of it
+        basis = CohomologyEngine(square, char).subset(masks.full_mask(4)).basis(0)
+        with pytest.raises(InternalInconsistency, match="not a cocycle"):
+            basis.express({masks.bit(1): 1})
+        for vec in ({masks.bit(1): 1, 1 << 4: 1}, {1 << 4: 1, masks.bit(1): 1}):
+            with pytest.raises(InternalInconsistency, match="not a cochain"):
+                basis.express(vec)
+
     @settings(max_examples=40, deadline=None)
     @given(complexes(max_m=7), FIELDS)
     def test_betti_table_matches_oracle(self, K, char):
@@ -451,25 +465,31 @@ class TestFreeColumnBases:
 
 class TestDeltaRowSigns:
     """Each row of delta_p enters its reducer with a leading +1, so it needs no
-    sign flip, and the stored rows are those of the textbook signs."""
+    sign flip, and the stored rows are those of the textbook signs. A row
+    enters either through ``add`` or, when its lead is free, as the table's
+    row itself, so both ``add`` and the table's row maker are spied on."""
 
     @settings(max_examples=40, deadline=None)
     @given(complexes(max_m=7), FIELDS)
     def test_rows_lead_with_one_and_store_as_before(self, K, char):
         leads = []
-        add = SparseReducer.add
+        add, make = SparseReducer.add, C._delta_row
 
         def spy(red, v, gen=None):
             leads.append(v[min(v)])
             return add(red, v, gen)
 
+        def made(t, field):
+            row = make(t, field)
+            leads.append(row[min(row)])
+            return row
+
         for I in range(1 << K.m):
             sc = SubsetCohomology(K, I, char)
-            SparseReducer.add = spy
-            try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(SparseReducer, "add", spy)
+                mp.setattr(C, "_delta_row", made)
                 reducers = {p: sc.delta_reducer(p) for p in range(sc.max_p, -2, -1)}
-            finally:
-                SparseReducer.add = add
             for p, red in reducers.items():
                 cleared = reducers[p + 1].rows if p + 1 in reducers else {}
                 textbook = SparseReducer(char)
@@ -613,13 +633,15 @@ class TestVertexChain:
                 assert all(type(row) is dict for row in red.rows.values()), (K, masks.mask_str(sc.I))
 
 
-def spy_eliminations(mp: pytest.MonkeyPatch) -> tuple[list, list]:
-    """Patch ``SparseReducer.add``, ``SubsetCohomology.delta_reducer``,
-    ``SubsetCohomology.basis`` and ``double.dense_rank`` where their callers
-    look them up. Returns a list that gets (reducer, names of the spied calls
-    open) per ``add``, and one that gets every reducer ``delta_reducer``
-    returns."""
-    adds, returned = [], []
+def spy_eliminations(mp: pytest.MonkeyPatch) -> tuple[list, list, list]:
+    """Patch ``SparseReducer.add``, the row maker ``cohomology._delta_row``,
+    ``SubsetCohomology.delta_reducer``, ``SubsetCohomology.basis`` and
+    ``double.dense_rank`` where their callers look them up. Returns a list
+    that gets (reducer, names of the spied calls open) per ``add``, one that
+    gets ("make" or "add", row, names of the spied calls open) per row that
+    the maker makes or that an ``add`` stores, and one that gets every
+    reducer ``delta_reducer`` returns."""
+    adds, entered, returned = [], [], []
     open_calls: list[str] = []
 
     def spy(fn, name, out=None):
@@ -635,23 +657,33 @@ def spy_eliminations(mp: pytest.MonkeyPatch) -> tuple[list, list]:
 
         return call
 
-    add = SparseReducer.add
+    add, make = SparseReducer.add, C._delta_row
 
     def add_spy(red, *args, **kwargs):
         adds.append((red, set(open_calls)))
-        return add(red, *args, **kwargs)
+        pivots = set(red.rows)
+        grew = add(red, *args, **kwargs)
+        entered.extend(("add", red.rows[q], set(open_calls)) for q in red.rows.keys() - pivots)
+        return grew
+
+    def make_spy(*args):
+        row = make(*args)
+        entered.append(("make", row, set(open_calls)))
+        return row
 
     mp.setattr(SparseReducer, "add", add_spy)
+    mp.setattr(C, "_delta_row", make_spy)
     mp.setattr(SubsetCohomology, "delta_reducer", spy(SubsetCohomology.delta_reducer, "delta_reducer", returned))
     mp.setattr(SubsetCohomology, "basis", spy(SubsetCohomology.basis, "basis"))
     mp.setattr("machh.double.dense_rank", spy(M.double.dense_rank, "dense_rank"))
-    return adds, returned
+    return adds, entered, returned
 
 
 class TestOneWayIntoEliminations:
     """Every δ-row elimination runs inside ``delta_reducer``: an ``add``
-    outside it belongs to a basis's quotient or to a row-complex rank, and a
-    reducer that ``delta_reducer`` returns got every row inside it."""
+    outside it belongs to a basis's quotient or to a row-complex rank, every
+    δ row is made inside it, and a reducer that ``delta_reducer`` returns got
+    every row inside it, as a made row stored as it is or through ``add``."""
 
     @staticmethod
     def run_and_check(K, char, rng, sigma=None) -> None:
@@ -659,7 +691,7 @@ class TestOneWayIntoEliminations:
         ``inherit``), then every degree of every subset in a shuffled order,
         so that roots and chained subsets both occur; then the check."""
         with pytest.MonkeyPatch.context() as mp:
-            adds, returned = spy_eliminations(mp)
+            adds, entered, returned = spy_eliminations(mp)
             eng = CohomologyEngine(K, char)
             hh_ranks(eng)
             if sigma is not None:
@@ -677,7 +709,10 @@ class TestOneWayIntoEliminations:
         assert not outside, (K, len(outside))
         deltas = {id(red) for red in returned}
         assert all("delta_reducer" in calls for red, calls in adds if id(red) in deltas), K
-        assert any("delta_reducer" in calls for _, calls in adds), K
+        assert all("delta_reducer" in calls for how, _, calls in entered if how == "make"), K
+        inside = {id(row) for _, row, calls in entered if "delta_reducer" in calls}
+        stored = [row for red in returned for row in red.rows.values()]
+        assert stored and all(id(row) in inside for row in stored), K
 
     @settings(max_examples=40, deadline=None)
     @given(complexes(max_m=7) | relabelled_k2r(), FIELDS, st.randoms(use_true_random=False))
@@ -691,18 +726,27 @@ class TestOneWayIntoEliminations:
         self.run_and_check(K, char, rng, sigma)
 
 
+def per_pivot_quotient(sc: SubsetCohomology, p: int) -> SparseReducer:
+    """The quotient of H̃^p(K_I) as a basis built it before it read the free
+    faces' rows: one coboundary vector per pivot of delta_{p-1}, cut down to
+    the columns that are not pivots of delta_p."""
+    pivots = sc.delta_reducer(p).rows
+    quotient = SparseReducer(sc.char)
+    for s in sc.delta_reducer(p - 1).rows:
+        quotient.add({t: c for t, c in coboundary_vector(sc, s).items() if t not in pivots})
+    return quotient
+
+
 def eager_parts(sc: SubsetCohomology, p: int) -> tuple[dict, list[dict]]:
     """The ``express`` table and the representatives of H̃^p(K_I) built both
     at once, as every basis did before it built its parts by role: the
-    quotient's fully reduced rows, negated, and one kernel vector per
-    essential column."""
+    per-pivot quotient's fully reduced rows, negated, and one kernel vector
+    per essential column."""
     char = sc.char
     if p not in sc.simplices:
         return {}, []
     pivots = sc.delta_reducer(p).rows
-    quotient = SparseReducer(char)
-    for s in sc.delta_reducer(p - 1).rows:
-        quotient.add({t: c for t, c in sc.coboundary_vector(p, s).items() if t not in pivots})
+    quotient = per_pivot_quotient(sc, p)
     essential = [f for f in sc.simplices[p] if f not in pivots and f not in quotient.rows]
     index = {e: k for k, e in enumerate(essential)}
     table = {e: ((k, 1),) for e, k in index.items()}
@@ -768,6 +812,127 @@ class TestBasesByRole:
         record_roles(glued, sources, targets)
         hh_ranks(glued)
         self.assert_parts_follow_roles([before, glued], sources, targets)
+
+
+def leading_one(row: dict, char: int) -> dict:
+    """``row`` times the sign that makes its leading entry +1."""
+    if row[min(row)] == 1:
+        return row
+    return {k: char - v for k, v in row.items()}
+
+
+def seeded_complexes(max_m: int = 7):
+    """``conftest.random_complex`` on 3 to ``max_m`` vertices from a drawn seed."""
+
+    def seeded(seed):
+        rng = random.Random(seed)
+        return random_complex(rng, rng.randint(3, max_m))
+
+    return st.integers(0, 2**32).map(seeded)
+
+
+@st.composite
+def apex_edges(draw, max_m: int = 7):
+    """A drawn complex joined with two points, and sigma the edge between
+    them, relabelled: the gluing hypotheses hold, with n = 1."""
+    K = M.join(draw(complexes(max_m=max_m - 2)), M.two_points())
+    perm = draw(st.permutations(range(1, K.m + 1)))
+    return (
+        permute_complex(K, {v: perm[v - 1] for v in range(1, K.m + 1)}),
+        masks.mask_of([perm[K.m - 2], perm[K.m - 1]], K.m),
+    )
+
+
+def glued_after_verify(K: M.SimplicialComplex, sigma: int, char) -> CohomologyEngine:
+    """The glued engine of ``verify_theorem1(K, sigma)`` once it has returned,
+    caught as it ``inherit``s K's engine; if the hypotheses fail, a glued
+    engine that inherits from K's after ``hh_ranks`` and then runs its own."""
+    caught = []
+    inherit = CohomologyEngine.inherit
+
+    def spy(self, before, glued_sigma):
+        caught.append(self)
+        return inherit(self, before, glued_sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CohomologyEngine, "inherit", spy)
+        try:
+            verify_theorem1(K, sigma, char)
+        except NotApplicable:
+            before = CohomologyEngine(K, char)
+            hh_ranks(before)
+            CohomologyEngine(M.glue_simplex(K, sigma), char).inherit(before, sigma)
+            hh_ranks(caught[-1])
+    return caught[-1]
+
+
+class TestDeltaRowTable:
+    """The engine's one table of coboundary rows against textbook rows, and
+    the quotient read off it against the per-pivot quotient it replaces."""
+
+    @staticmethod
+    def assert_rows_and_reducers_are_textbook(eng: CohomologyEngine) -> None:
+        """Every table row is the textbook row led by +1, so no shared row was
+        mutated, and every built subset's reducers have the row space of the
+        textbook rows of all its faces, ranked by dense Gauss-Jordan."""
+        char = eng.char
+        for t, row in eng._rows.items():
+            assert row == leading_one(boundary_row(t, char), char), (eng.K, masks.mask_str(t))
+        for I, sc in list(eng._cache.items()):
+            for p in range(-2, sc.max_p + 1):
+                every = [boundary_row(t, char) for t in sc.simplices.get(p + 1, ())]
+                rref = textbook_rref(every, sc.simplices.get(p, []), char)
+                assert sc.delta_reducer(p).rref_rows() == rref, (eng.K, masks.mask_str(I), p)
+
+    @staticmethod
+    def assert_quotients_match_per_pivot(eng: CohomologyEngine) -> None:
+        """Every basis's essential columns, quotient ``rref_rows`` (while the
+        basis holds its quotient) and ``express`` table equal those of the
+        per-pivot quotient."""
+        build_every_subset(eng, None)
+        for I, sc in list(eng._cache.items()):
+            for p in range(-1, sc.max_p + 2):
+                basis = sc.basis(p)
+                ref = per_pivot_quotient(sc, p)
+                pivots = sc.delta_reducer(p).rows
+                essential = [f for f in sc.simplices.get(p, ()) if f not in pivots and f not in ref.rows]
+                where = (eng.K, masks.mask_str(I), p)
+                assert basis._essential == essential, where
+                if basis._quotient is not None:
+                    assert basis._quotient.rref_rows() == ref.rref_rows(), where
+                basis.express({})
+                assert basis._table == eager_parts(sc, p)[0], where
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        relabelled_k2r() | seeded_complexes() | complexes(max_m=7) | relabelled_joins(max_m=7),
+        FIELDS,
+    )
+    def test_after_hh(self, K, char):
+        eng = CohomologyEngine(K, char)
+        hh_ranks(eng)
+        self.assert_rows_and_reducers_are_textbook(eng)
+        self.assert_quotients_match_per_pivot(eng)
+        self.assert_rows_and_reducers_are_textbook(eng)
+        assert eng._rows, K
+
+    @settings(max_examples=40, deadline=None)
+    @given(glued_pairs() | apex_edges(), FIELDS)
+    def test_after_verify_theorem1s_inherit(self, pair, char):
+        glued = glued_after_verify(*pair, char)
+        self.assert_rows_and_reducers_are_textbook(glued)
+        self.assert_quotients_match_per_pivot(glued)
+        self.assert_rows_and_reducers_are_textbook(glued)
+        assert glued._rows, pair
+
+    def test_a_standalone_subset_keeps_a_table_of_its_own(self):
+        K = M.k2r_family(3).complex
+        eng = CohomologyEngine(K)
+        full = masks.full_mask(K.m)
+        sc, alone = eng.subset(full), SubsetCohomology(K, full)
+        assert sc._rows is eng._rows and alone._rows is not eng._rows
+        assert [alone.betti(p) for p in range(-1, 3)] == [sc.betti(p) for p in range(-1, 3)]
+        assert alone._rows.keys() <= eng._rows.keys() and alone._rows
 
 
 def brute_force_twin_classes(K: M.SimplicialComplex) -> tuple[int, ...]:
