@@ -216,38 +216,26 @@ class CohomologyBasis:
 
 
 class SubsetCohomology:
-    """All cochain degrees of one full subcomplex K_I over the field of
-    characteristic ``char`` (0 for Q), computed lazily.
+    """All cochain degrees of one full subcomplex K_I, computed lazily.
 
-    ``rows`` is the table of coboundary rows the subset reads, a
-    ``_DeltaRows`` over the same field: its engine's, which every subset of
-    the engine shares, or a fresh one of its own when none is given.
+    ``rows`` is the engine's table of coboundary rows, which every subset of
+    the engine shares; the subset's field is the table's ``char`` (0 for Q).
+    ``CohomologyEngine.subset`` is the one maker.
     """
 
-    __slots__ = (
-        "I",
-        "char",
-        "simplices",
-        "faces",
-        "max_p",
-        "_parent",
-        "_rows",
-        "_delta",
-        "_basis",
-    )
+    __slots__ = ("I", "char", "simplices", "max_p", "_parent", "_rows", "_delta", "_basis")
 
     def __init__(
         self,
         K: SimplicialComplex,
         I: int,
-        char: int = 0,
+        rows: _DeltaRows,
         parent: SubsetCohomology | None = None,
-        rows: _DeltaRows | None = None,
     ):
         self.I = I
-        self.char = char
-        self._rows = _DeltaRows(char) if rows is None else rows
-        self.faces = faces = K.faces
+        self.char = rows.char
+        self._rows = rows
+        faces = K.faces
         self._parent = parent
         self.simplices: dict[int, list[int]] = {}
         if parent is None:
@@ -425,7 +413,9 @@ class CohomologyEngine:
     with more than ``max_m`` vertices raises ``ResourceLimit`` before any
     work. The field is its characteristic ``char``, an int: 0 for Q, or an
     odd prime below 2**31 for GF(p). Anything else (4, 3.5, 32003.0, a
-    bool) raises ``prime_field``'s ``ValueError``.
+    bool) raises ``prime_field``'s ``ValueError``. The cap follows the same
+    int rule: a ``max_m`` that is a float, a bool, a str or None raises
+    ``ValueError`` too.
     Besides K, the engine keeps K's minimal non-faces; ``is_cone``,
     ``betti_table``, ``factors`` and ``twins`` are all worked out from them.
 
@@ -442,6 +432,8 @@ class CohomologyEngine:
     """
 
     def __init__(self, K: SimplicialComplex, char: int = 0, max_m: int = DEFAULT_MAX_M):
+        if not masks.is_int(max_m):
+            raise ValueError(f"a vertex cap must be an int, got {max_m!r}")
         if K.m > max_m:
             raise ResourceLimit(f"m = {K.m} exceeds the configured cap {max_m}")
         if char or not masks.is_int(char):  # an int 0 is Q
@@ -476,7 +468,7 @@ class CohomologyEngine:
                 low = rest & -rest
                 rest ^= low
                 parent = cache.get(I ^ low)
-            sc = SubsetCohomology(self.K, I, self.char, parent, self._rows)
+            sc = SubsetCohomology(self.K, I, self._rows, parent)
             cache[I] = sc
         return sc
 

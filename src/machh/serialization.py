@@ -16,7 +16,11 @@ def complex_from_dict(doc: dict, max_m: int | None = None) -> SimplicialComplex:
 
     A document whose m exceeds ``max_m`` is refused before any facet is
     expanded, because the closure of one facet on f vertices has 2**f faces.
+    ``max_m`` is None for no cap, or an int as for ``CohomologyEngine``;
+    anything else raises ``ValueError``.
     """
+    if max_m is not None and not masks.is_int(max_m):
+        raise ValueError(f"a vertex cap must be an int, got {max_m!r}")
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     m = doc.get("m")

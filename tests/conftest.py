@@ -155,12 +155,12 @@ def full_subcomplex(K: M.SimplicialComplex, I: int) -> M.SimplicialComplex:
     return M.SimplicialComplex(len(place), frozenset(faces))
 
 
-def coboundary_vector(sc, s: int) -> dict:
+def coboundary_vector(sc, s: int, faces: frozenset) -> dict:
     """delta(s*) for a face s of the subset ``sc``, walked over the vertices
     of ``sc.I``: the entry at s ∪ {j} is (-1)**(# elements of s below j),
     written ``char - 1`` for -1. As s ∪ {j} ⊆ I, it is a simplex of K_I
-    exactly when it is a face of K. This is how a basis built its quotient
-    before it read the coboundary rows of the free faces."""
+    exactly when it is in ``faces``, K's faces. This is how a basis built its
+    quotient before it read the coboundary rows of the free faces."""
     sign, other = 1, sc.char - 1
     vec = {}
     rest = sc.I
@@ -169,7 +169,7 @@ def coboundary_vector(sc, s: int) -> dict:
         rest ^= low
         if low & s:
             sign, other = other, sign
-        elif (f := s | low) in sc.faces:
+        elif (f := s | low) in faces:
             vec[f] = sign
     return vec
 

@@ -50,7 +50,7 @@ def cohomology(L: M.SimplicialComplex, p: int):
 class TestCochainComplex:
     def test_empty_complex(self):
         empty = full_subcomplex(M.square(), 0)
-        assert SubsetCohomology(empty, 0).simplices == {-1: [0]}
+        assert CohomologyEngine(empty).subset(0).simplices == {-1: [0]}
         assert cohomology(empty, -1).rank == 1
 
     def test_full_triangle_acyclic(self):
@@ -289,7 +289,7 @@ class TestSkippedWork:
         # b_{-1}(K_I) = 1 - rank delta_{-1} - rank delta_{-2}, chained and from scratch
         eng = CohomologyEngine(K, char)
         for I in range(1 << K.m):
-            for sc in (eng.subset(I), SubsetCohomology(K, I, char)):
+            for sc in (eng.subset(I), CohomologyEngine(K, char).subset(I)):
                 betti = sc.betti(-1)
                 assert -1 not in sc._delta and -2 not in sc._delta, (K, I)
                 formula = len(sc.simplices[-1]) - sc.delta_reducer(-1).rank - sc.delta_reducer(-2).rank
@@ -353,7 +353,7 @@ class TestSkippedWork:
     @given(complexes(max_m=7), FIELDS)
     def test_cleared_reducers_and_bases_match_full_ones(self, K, char):
         for I in range(1 << K.m):
-            sc = SubsetCohomology(K, I, char)
+            sc = CohomologyEngine(K, char).subset(I)
             scanned = {}
             for f in K.faces:
                 if not f & ~I:
@@ -372,7 +372,7 @@ class TestSkippedWork:
                 def quotient(sources):
                     red = SparseReducer(char)
                     for s in sources:
-                        vec = coboundary_vector(sc, s)
+                        vec = coboundary_vector(sc, s, K.faces)
                         red.add({t: c for t, c in vec.items() if t not in pivots})
                     return red
 
@@ -391,7 +391,7 @@ class TestFreeColumnBases:
     @given(complexes(max_m=7), FIELDS)
     def test_reducers_and_kernels_match_references(self, K, char):
         for I in range(1 << K.m):
-            sc = SubsetCohomology(K, I, char)
+            sc = CohomologyEngine(K, char).subset(I)
             for p in range(-1, sc.max_p + 1):
                 red = sc.delta_reducer(p)
                 columns = sc.simplices[p]
@@ -418,7 +418,7 @@ class TestFreeColumnBases:
                 vec: dict = {}
                 terms = [(x, rep) for x, rep in zip(a, basis.representatives)]
                 terms += [
-                    (rng.randint(-3, 3), coboundary_vector(sc, s))
+                    (rng.randint(-3, 3), coboundary_vector(sc, s, K.faces))
                     for s in sc.simplices.get(p - 1, ())
                 ]
                 for x, v in terms:
@@ -485,7 +485,7 @@ class TestDeltaRowSigns:
             return row
 
         for I in range(1 << K.m):
-            sc = SubsetCohomology(K, I, char)
+            sc = CohomologyEngine(K, char).subset(I)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(SparseReducer, "add", spy)
                 mp.setattr(C, "_delta_row", made)
@@ -534,13 +534,14 @@ def build_every_subset(eng: CohomologyEngine, rng) -> None:
 
 
 def assert_cached_subsets_match_scratch(eng: CohomologyEngine) -> int:
-    """Every cached subset against one built from scratch; returns how many
-    extend a parent. Subsets without a parent are compared too: a child that
-    wrote into its parent's rows would show there."""
+    """Every cached subset against one built from scratch, by a fresh engine
+    that has no cached parent; returns how many extend a parent. Subsets
+    without a parent are compared too: a child that wrote into its parent's
+    rows would show there."""
     chained = 0
     for I, sc in list(eng._cache.items()):
         chained += sc._parent is not None
-        fresh = SubsetCohomology(eng.K, I, eng.char)
+        fresh = CohomologyEngine(eng.K, eng.char).subset(I)
         where = (eng.K, masks.mask_str(I))
         assert sc.simplices == fresh.simplices, where
         for p in range(-2, fresh.max_p + 1):
@@ -726,18 +727,18 @@ class TestOneWayIntoEliminations:
         self.run_and_check(K, char, rng, sigma)
 
 
-def per_pivot_quotient(sc: SubsetCohomology, p: int) -> SparseReducer:
+def per_pivot_quotient(sc: SubsetCohomology, p: int, faces: frozenset) -> SparseReducer:
     """The quotient of H̃^p(K_I) as a basis built it before it read the free
     faces' rows: one coboundary vector per pivot of delta_{p-1}, cut down to
-    the columns that are not pivots of delta_p."""
+    the columns that are not pivots of delta_p. ``faces`` are K's."""
     pivots = sc.delta_reducer(p).rows
     quotient = SparseReducer(sc.char)
     for s in sc.delta_reducer(p - 1).rows:
-        quotient.add({t: c for t, c in coboundary_vector(sc, s).items() if t not in pivots})
+        quotient.add({t: c for t, c in coboundary_vector(sc, s, faces).items() if t not in pivots})
     return quotient
 
 
-def eager_parts(sc: SubsetCohomology, p: int) -> tuple[dict, list[dict]]:
+def eager_parts(sc: SubsetCohomology, p: int, faces: frozenset) -> tuple[dict, list[dict]]:
     """The ``express`` table and the representatives of H̃^p(K_I) built both
     at once, as every basis did before it built its parts by role: the
     per-pivot quotient's fully reduced rows, negated, and one kernel vector
@@ -746,7 +747,7 @@ def eager_parts(sc: SubsetCohomology, p: int) -> tuple[dict, list[dict]]:
     if p not in sc.simplices:
         return {}, []
     pivots = sc.delta_reducer(p).rows
-    quotient = per_pivot_quotient(sc, p)
+    quotient = per_pivot_quotient(sc, p, faces)
     essential = [f for f in sc.simplices[p] if f not in pivots and f not in quotient.rows]
     index = {e: k for k, e in enumerate(essential)}
     table = {e: ((k, 1),) for e, k in index.items()}
@@ -786,7 +787,7 @@ class TestBasesByRole:
                     assert (basis._table is not None) == (role in targets), (where, I, p)
                     assert (basis._representatives is not None) == (role in sources), (where, I, p)
                     basis.express({})
-                    table, representatives = eager_parts(sc, p)
+                    table, representatives = eager_parts(sc, p, eng.K.faces)
                     assert basis._table == table, (where, I, p)
                     assert basis.representatives == representatives, (where, I, p)
 
@@ -874,11 +875,13 @@ class TestDeltaRowTable:
     def assert_rows_and_reducers_are_textbook(eng: CohomologyEngine) -> None:
         """Every table row is the textbook row led by +1, so no shared row was
         mutated, and every built subset's reducers have the row space of the
-        textbook rows of all its faces, ranked by dense Gauss-Jordan."""
+        textbook rows of all its faces, ranked by dense Gauss-Jordan. Every
+        cached subset, inherited ones included, reads the engine's table."""
         char = eng.char
         for t, row in eng._rows.items():
             assert row == leading_one(boundary_row(t, char), char), (eng.K, masks.mask_str(t))
         for I, sc in list(eng._cache.items()):
+            assert sc._rows is eng._rows, (eng.K, masks.mask_str(I))
             for p in range(-2, sc.max_p + 1):
                 every = [boundary_row(t, char) for t in sc.simplices.get(p + 1, ())]
                 rref = textbook_rref(every, sc.simplices.get(p, []), char)
@@ -893,7 +896,7 @@ class TestDeltaRowTable:
         for I, sc in list(eng._cache.items()):
             for p in range(-1, sc.max_p + 2):
                 basis = sc.basis(p)
-                ref = per_pivot_quotient(sc, p)
+                ref = per_pivot_quotient(sc, p, eng.K.faces)
                 pivots = sc.delta_reducer(p).rows
                 essential = [f for f in sc.simplices.get(p, ()) if f not in pivots and f not in ref.rows]
                 where = (eng.K, masks.mask_str(I), p)
@@ -901,7 +904,7 @@ class TestDeltaRowTable:
                 if basis._quotient is not None:
                     assert basis._quotient.rref_rows() == ref.rref_rows(), where
                 basis.express({})
-                assert basis._table == eager_parts(sc, p)[0], where
+                assert basis._table == eager_parts(sc, p, eng.K.faces)[0], where
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -924,15 +927,6 @@ class TestDeltaRowTable:
         self.assert_quotients_match_per_pivot(glued)
         self.assert_rows_and_reducers_are_textbook(glued)
         assert glued._rows, pair
-
-    def test_a_standalone_subset_keeps_a_table_of_its_own(self):
-        K = M.k2r_family(3).complex
-        eng = CohomologyEngine(K)
-        full = masks.full_mask(K.m)
-        sc, alone = eng.subset(full), SubsetCohomology(K, full)
-        assert sc._rows is eng._rows and alone._rows is not eng._rows
-        assert [alone.betti(p) for p in range(-1, 3)] == [sc.betti(p) for p in range(-1, 3)]
-        assert alone._rows.keys() <= eng._rows.keys() and alone._rows
 
 
 def brute_force_twin_classes(K: M.SimplicialComplex) -> tuple[int, ...]:
@@ -1132,7 +1126,7 @@ class TestFaceGrouping:
         build_every_subset(eng, None)  # increasing, so every nonempty I has a parent
         for I in range(1 << K.m):
             ref = filtered_faces(K, I)
-            assert SubsetCohomology(K, I).simplices == ref, (K, masks.mask_str(I))
+            assert CohomologyEngine(K).subset(I).simplices == ref, (K, masks.mask_str(I))
             assert eng.subset(I).simplices == ref, (K, masks.mask_str(I))
 
     @settings(max_examples=40, deadline=None)

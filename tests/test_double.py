@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from machh.cohomology import CohomologyEngine
 from machh.double import h_ranks, hh_ranks
 from machh.errors import ResourceLimit
 from machh.oracle import oracle_hh_rows
+from machh.serialization import complex_from_dict, complex_to_dict
 
 from conftest import (
     brute_force_factors,
@@ -66,6 +68,22 @@ class TestEngineCarriesTheRequest:
     def test_cap_refused_when_the_engine_is_built(self):
         with pytest.raises(ResourceLimit):
             CohomologyEngine(M.k2r_family(16).complex, max_m=4)
+
+    @pytest.mark.parametrize("x", [True, 22.5, "22", None])
+    def test_a_cap_that_is_no_int_is_refused(self, x):
+        """The cap follows the field's int rule. The engine refuses a bool, a
+        float, a str and None; ``complex_from_dict`` refuses all but None,
+        which there means no cap."""
+        square = M.square()
+        named = re.escape(f"got {x!r}")
+        with pytest.raises(ValueError, match=named):
+            CohomologyEngine(square, 0, x)
+        doc = complex_to_dict(square)
+        if x is None:
+            assert complex_from_dict(doc, x) == square
+        else:
+            with pytest.raises(ValueError, match=named):
+                complex_from_dict(doc, x)
 
     def test_row_is_over_the_engines_field(self):
         gf3 = 3

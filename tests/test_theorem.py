@@ -275,6 +275,13 @@ def test_k2r_recorded_pair_of_an_odd_member_is_not_a_gluing_site():
         verify_theorem1(built.complex, mask(built.non_edge, built.complex.m))
 
 
+def test_verify_theorem1_refuses_a_cap_that_is_no_int():
+    # a float cap would otherwise pass the m = 4 <= 22.5 test and run both engines
+    built = M.k2r_family(2)
+    with pytest.raises(ValueError, match=r"got 22\.5"):
+        verify_theorem1(built.complex, mask(built.non_edge, built.complex.m), 0, 22.5)
+
+
 @pytest.mark.parametrize("x", [5.0, 1.0, 2.0, True, "3", None])
 def test_entry_points_refuse_a_vertex_or_sigma_that_is_no_int(square, x):
     """Each library entry point that takes a vertex or a sigma mask refuses a
