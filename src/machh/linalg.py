@@ -47,10 +47,6 @@ class SparseReducer:
 
     ``p`` is the field's characteristic. ``rows`` maps each pivot to its
     stored row, a vector dict normalized to a unit pivot, its smallest key.
-    With ``track=True`` the side dict ``exprs`` maps each pivot to the row's
-    expression in terms of the generators passed to ``add``, which lets
-    ``express`` write any vector of the span in generator coordinates;
-    without it ``exprs`` is None. Only ``add`` and ``_reduce`` read ``exprs``.
 
     A stored row is never mutated: ``add`` stores a fresh dict, and every
     reader either only reads rows or copies them first (``rref_rows``). So a
@@ -61,17 +57,19 @@ class SparseReducer:
     rows, so a stored row is shared engine-wide.
     """
 
-    def __init__(self, p: int, track: bool = False):
+    __slots__ = ("p", "rows")
+
+    def __init__(self, p: int):
         self.p = p
         self.rows: dict = {}
-        self.exprs: dict | None = {} if track else None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: dict, expr: dict | None):
-        """Eliminate every pivot-column entry of vec, in increasing column order.
+    def _reduce(self, vec: dict) -> dict:
+        """Eliminate vec's pivot-column entries in place, in increasing column
+        order, and return the multiple of each stored row taken out, by pivot.
 
         A stored row has no support before its pivot, so eliminating a pivot
         never brings back an earlier one: a single left-to-right sweep leaves
@@ -80,16 +78,15 @@ class SparseReducer:
         """
         rows = self.rows
         p = self.p
+        taken = {}
         while True:
             piv = min((k for k in vec if k in rows), default=None)
             if piv is None:
-                return vec, expr
-            c = -vec[piv]
-            addmul(vec, rows[piv], c, p)
-            if expr is not None:
-                addmul(expr, self.exprs[piv], c, p)
+                return taken
+            c = taken[piv] = vec[piv]
+            addmul(vec, rows[piv], -c, p)
 
-    def add(self, v: dict, gen=None) -> bool:
+    def add(self, v: dict) -> bool:
         """Insert a vector; returns True iff it enlarged the span.
 
         Only the leading entry is eliminated, while it lies on a pivot column:
@@ -99,41 +96,32 @@ class SparseReducer:
         reduced.
         """
         rows = self.rows
-        exprs = self.exprs
         p = self.p
         vec = dict(v)
-        expr = None
-        if exprs is not None:
-            expr = {} if gen is None else {gen: 1}
         while vec:
             piv = min(vec)
             row = rows.get(piv)
             if row is None:
                 break
-            c = -vec[piv]
-            addmul(vec, row, c, p)
-            if expr is not None:
-                addmul(expr, exprs[piv], c, p)
+            addmul(vec, row, -vec[piv], p)
         if not vec:
             return False
-        d = vec[piv]
-        rows[piv] = _normalize(vec, d, p)
-        if expr is not None:
-            exprs[piv] = _normalize(expr, d, p)
+        rows[piv] = _normalize(vec, vec[piv], p)
         return True
 
+    # no request calls residual; it stays while bench/tracing.py hooks it by name
     def residual(self, v: dict) -> dict:
         """v reduced modulo the current span (canonical)."""
-        vec, _ = self._reduce(dict(v), None)
+        vec = dict(v)
+        self._reduce(vec)
         return vec
 
+    # no request calls express; it stays while bench/tracing.py hooks it by name
     def express(self, v: dict) -> dict | None:
-        """Coordinates of v in the generators of a ``track=True`` reducer, or None if v is outside."""
-        vec, expr = self._reduce(dict(v), {})
-        if vec:
-            return None
-        p = self.p
-        return {k: p - c for k, c in expr.items()}
+        """Coordinates of v over the stored rows, by pivot, or None if v is outside their span."""
+        vec = dict(v)
+        taken = self._reduce(vec)
+        return None if vec else taken
 
     def rref_rows(self) -> list:
         """Fully reduced rows as (pivot, vector), sorted by pivot.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
 from machh.oracle import _matrix_rank, _null_space
 
-from conftest import rref_kernel_basis, textbook_rref
+from conftest import reference_rank, rref_kernel_basis, textbook_rref
 
 int_matrices = st.integers(1, 8).flatmap(
     lambda ncols: st.lists(
@@ -27,28 +27,11 @@ def sparse(row) -> dict:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def reducer_of(mat, p: int = 0, track: bool = False) -> SparseReducer:
-    red = SparseReducer(p, track=track)
-    for i, row in enumerate(mat):
-        red.add(sparse(row), gen=i if track else None)
+def reducer_of(mat, p: int = 0) -> SparseReducer:
+    red = SparseReducer(p)
+    for row in mat:
+        red.add(sparse(row))
     return red
-
-
-def rank_mod_p(mat, p: int) -> int:
-    """Dense rank mod p by textbook elimination, independent of machh."""
-    rows = [[x % p for x in row] for row in mat]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * inv
-            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,11 +48,28 @@ def test_rank_over_q_matches_oracle(mat):
 def test_express_rebuilds_vector(mat, weights):
     ncols = len(mat[0])
     target = [sum(w * row[j] for w, row in zip(weights, mat)) for j in range(ncols)]
-    red = reducer_of(mat, track=True)
+    red = reducer_of(mat)
     coeffs = red.express(sparse(target))
-    assert coeffs is not None
-    rebuilt = [sum(c * mat[i][j] for i, c in coeffs.items()) for j in range(ncols)]
+    assert coeffs is not None and coeffs.keys() <= red.rows.keys()
+    rebuilt = [sum(c * red.rows[q].get(j, 0) for q, c in coeffs.items()) for j in range(ncols)]
     assert rebuilt == target
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices, st.lists(st.integers(-3, 3), min_size=8, max_size=8), st.sampled_from([0, 3, 32003]))
+@example([[2, 1], [1, 1]], [1, 0, 0, 0, 0, 0, 0, 0], 0)
+@example([[1, 1, 0]], [0, 1, 0, 0, 0, 0, 0, 0], 3)
+def test_residual_and_express_agree(mat, entries, p):
+    def reduce(x):
+        return x % p if p else x
+
+    red = reducer_of([[reduce(x) for x in row] for row in mat], p)
+    v = sparse([reduce(x) for x in entries[: len(mat[0])]])
+    res = red.residual(v)
+    assert not res.keys() & red.rows.keys()
+    in_span = {k: x for k in v.keys() | res.keys() if (x := reduce(v.get(k, 0) - res.get(k, 0)))}
+    assert red.express(in_span) is not None
+    assert (red.express(v) is None) == bool(res)
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,7 +89,7 @@ def test_kernel_basis_matches_null_space(mat):
 def test_rank_over_gf_matches_dense(mat, p):
     reduced = [[x % p for x in row] for row in mat]
     red = reducer_of(reduced, p)
-    assert red.rank == rank_mod_p(mat, p)
+    assert red.rank == reference_rank(reduced, p)
     assert dense_rank(reduced, p) == red.rank
     for vec in red.rows.values():
         assert all(type(x) is int and 0 < x < p for x in vec.values())
