@@ -24,11 +24,8 @@ No elimination runs whose result is already fixed:
   degree down; b_{-1} reads the 0-faces alone.
 - One coboundary row per face per engine. The row of a face t depends only
   on t and the field, so the engine keeps one table of them, made on first
-  need and never mutated, and every subset reads it. The pass stores a row
-  whose leading column is not yet a pivot as it is: an echelon form needs
-  only distinct leading columns with unit entries, the row leads with +1,
-  and ``SparseReducer.add`` would store an equal copy. Only a row whose lead
-  collides goes through ``add``, which copies it.
+  need and never mutated, and every subset reads it. The row leads with +1,
+  so ``SparseReducer.add`` stores it as it is when its lead is free.
 - ``basis(p)`` needs one elimination more. Let F be the p-simplices that
   are not pivots of ``delta_reducer(p)``. A cocycle is orthogonal to every
   echelon row, and the row of a pivot q fixes the entry at q from entries at
@@ -37,17 +34,17 @@ No elimination runs whose result is already fixed:
   of the matrix that ``delta_reducer(p-1)`` eliminates. Clearing keeps its
   row space, and the pivot columns of an echelon form of the row space index
   a basis of the column space, so the coboundaries of those pivot columns
-  span B. Cut down to F, they are eliminated once in an untracked quotient
-  reducer. Their entries are read off the rows of the faces in F, in one
-  scan: the row of a p-face f holds (-1)**(i+p) at f minus its i-th smallest
-  vertex s, where the coboundary of s holds (-1)**i at f. So each column is
-  the coboundary times (-1)**p, the same unit for every column of a degree,
-  and the quotient's pivots and ``rref_rows`` are unchanged. The essential
+  span B. Cut down to F, they are eliminated once in a quotient reducer.
+  Their entries are read off the rows of the faces in F, in one scan: the
+  row of a p-face f holds (-1)**(i+p) at f minus its i-th smallest vertex
+  s, where the coboundary of s holds (-1)**i at f. So each column is the
+  coboundary times (-1)**p, the same unit for every column of a degree, and
+  the quotient's pivots and ``rref_rows`` are unchanged. The essential
   columns E (F minus the quotient's pivots) index a basis of H̃^p: the
-  representative of e ∈ E is the cocycle that is 1 at e
-  and 0 on the rest of F (``kernel_basis``). A cocycle's coordinates are its
-  values on E minus those its values on the quotient's pivots carry through
-  the fully reduced quotient rows, so ``express`` sums a per-column table.
+  representative of e ∈ E is the cocycle that is 1 at e and 0 on the rest
+  of F (``kernel_basis``). A cocycle's coordinates are its values on E
+  minus those its values on the quotient's pivots carry through the fully
+  reduced quotient rows, so ``express`` sums a per-column table.
   A basis builds that table on its first ``express`` and its
   representatives on their first read: a source of ``psi`` never needs the
   table, and a target never needs the representatives.
@@ -269,11 +266,10 @@ class SubsetCohomology:
         minus its largest vertex. The first call eliminates every degree in
         one pass from ``max_p`` down to -1, each clearing the rows of the
         pivots of the degree above it; with a parent K_{I∖v} each reducer
-        starts from the parent's rows and takes only the faces through v. A
-        row with a free lead is stored as it is, and only the others go
-        through ``add`` (module docstring). Later calls look the reducer up.
-        Any other delta_p is zero, as its only row is the empty face's
-        (p = -2) or it has none, and gets a fresh empty reducer.
+        starts from the parent's rows and takes only the faces through v.
+        Later calls look the reducer up. Any other delta_p is zero, as its
+        only row is the empty face's (p = -2) or it has none, and gets a
+        fresh empty reducer.
         """
         delta = self._delta
         if not delta:
@@ -287,20 +283,13 @@ class SubsetCohomology:
             cleared: dict = {}
             for d in range(self.max_p, -2, -1):
                 red = SparseReducer(self.char)
-                rows = red.rows
                 if d in inherited:
-                    rows.update(inherited[d].rows)
+                    red.rows.update(inherited[d].rows)
                 for t in self.simplices.get(d + 1, ()):
-                    if not t & new or t in cleared:
-                        continue
-                    row = table[t]
-                    lead = t ^ 1 << t.bit_length() - 1  # t minus its top vertex
-                    if lead in rows:
-                        red.add(row)
-                    else:
-                        rows[lead] = row  # already an echelon row (module docstring)
+                    if t & new and t not in cleared:
+                        red.add(table[t])
                 delta[d] = red
-                cleared = rows
+                cleared = red.rows
         red = delta.get(p)
         return red if red is not None else SparseReducer(self.char)
 

@@ -48,13 +48,11 @@ class SparseReducer:
     ``p`` is the field's characteristic. ``rows`` maps each pivot to its
     stored row, a vector dict normalized to a unit pivot, its smallest key.
 
-    A stored row is never mutated: ``add`` stores a fresh dict, and every
-    reader either only reads rows or copies them first (``rref_rows``). So a
-    reducer may start from a copy of another's ``rows`` dict and share the
-    rows themselves, as a subset's coboundary reducers share their parent's,
-    and a caller may store a row with a unit leading entry at a free pivot
-    directly in ``rows``: the coboundary reducers store their engine's table
-    rows, so a stored row is shared engine-wide.
+    A stored row is never mutated: no caller mutates a vector it has added
+    (``add``), and every reader either only reads rows or copies them first
+    (``rref_rows``). So a reducer may start from a copy of another's ``rows``
+    dict and share the rows themselves, as a subset's coboundary reducers
+    share their parent's.
     """
 
     __slots__ = ("p", "rows")
@@ -94,20 +92,24 @@ class SparseReducer:
         pivot set, the span and everything derived from them (``rref_rows``,
         ``residual``, ``express``) do not depend on how far a stored row is
         reduced.
+
+        ``v`` itself is never mutated, and it is stored as it is when its lead
+        is a free column with entry 1, so a caller must not mutate a vector
+        after adding it.
         """
         rows = self.rows
         p = self.p
-        vec = dict(v)
+        vec = v
         while vec:
             piv = min(vec)
             row = rows.get(piv)
             if row is None:
-                break
+                rows[piv] = _normalize(vec, vec[piv], p)
+                return True
+            if vec is v:
+                vec = dict(v)
             addmul(vec, row, -vec[piv], p)
-        if not vec:
-            return False
-        rows[piv] = _normalize(vec, vec[piv], p)
-        return True
+        return False
 
     # no request calls residual; it stays while bench/tracing.py hooks it by name
     def residual(self, v: dict) -> dict:

@@ -464,31 +464,24 @@ class TestFreeColumnBases:
 
 
 class TestDeltaRowSigns:
-    """Each row of delta_p enters its reducer with a leading +1, so it needs no
-    sign flip, and the stored rows are those of the textbook signs. A row
-    enters either through ``add`` or, when its lead is free, as the table's
-    row itself, so both ``add`` and the table's row maker are spied on."""
+    """Each row of delta_p enters its reducer through ``add`` with a leading
+    +1, so it needs no sign flip, and the stored rows are those of the
+    textbook signs."""
 
     @settings(max_examples=40, deadline=None)
     @given(complexes(max_m=7), FIELDS)
     def test_rows_lead_with_one_and_store_as_before(self, K, char):
         leads = []
-        add, make = SparseReducer.add, C._delta_row
+        add = SparseReducer.add
 
         def spy(red, v):
             leads.append(v[min(v)])
             return add(red, v)
 
-        def made(t, field):
-            row = make(t, field)
-            leads.append(row[min(row)])
-            return row
-
         for I in range(1 << K.m):
             sc = CohomologyEngine(K, char).subset(I)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(SparseReducer, "add", spy)
-                mp.setattr(C, "_delta_row", made)
                 reducers = {p: sc.delta_reducer(p) for p in range(sc.max_p, -2, -1)}
             for p, red in reducers.items():
                 cleared = reducers[p + 1].rows if p + 1 in reducers else {}
@@ -639,8 +632,9 @@ def spy_eliminations(mp: pytest.MonkeyPatch) -> tuple[list, list, list]:
     ``double.dense_rank`` where their callers look them up. Returns a list
     that gets (reducer, names of the spied calls open) per ``add``, one that
     gets ("make" or "add", row, names of the spied calls open) per row that
-    the maker makes or that an ``add`` stores, and one that gets every
-    reducer ``delta_reducer`` returns."""
+    the maker makes or that an ``add`` stores (a made row that ``add``
+    stores as it is appears twice), and one that gets every reducer
+    ``delta_reducer`` returns."""
     adds, entered, returned = [], [], []
     open_calls: list[str] = []
 
@@ -682,8 +676,8 @@ def spy_eliminations(mp: pytest.MonkeyPatch) -> tuple[list, list, list]:
 class TestOneWayIntoEliminations:
     """Every δ-row elimination runs inside ``delta_reducer``: an ``add``
     outside it belongs to a basis's quotient or to a row-complex rank, every
-    δ row is made inside it, and a reducer that ``delta_reducer`` returns got
-    every row inside it, as a made row stored as it is or through ``add``."""
+    δ row is made inside it, and every row of a reducer that
+    ``delta_reducer`` returns was stored by an ``add`` inside it."""
 
     @staticmethod
     def run_and_check(K, char, rng, sigma=None) -> None:
@@ -710,7 +704,7 @@ class TestOneWayIntoEliminations:
         deltas = {id(red) for red in returned}
         assert all("delta_reducer" in calls for red, calls in adds if id(red) in deltas), K
         assert all("delta_reducer" in calls for how, _, calls in entered if how == "make"), K
-        inside = {id(row) for _, row, calls in entered if "delta_reducer" in calls}
+        inside = {id(row) for how, row, calls in entered if how == "add" and "delta_reducer" in calls}
         stored = [row for red in returned for row in red.rows.values()]
         assert stored and all(id(row) in inside for row in stored), K
 

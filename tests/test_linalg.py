@@ -98,12 +98,23 @@ def test_rank_over_gf_matches_dense(mat, p):
 @settings(max_examples=300, deadline=None)
 @given(int_matrices, st.sampled_from([0, 3, 32003]))
 @example([[2, 1], [1, 1]], 0)
+@example([[1, 1], [1, 2]], 3)
 def test_add_matches_textbook_rref(mat, p):
     rows = [sparse([x % p if p else x for x in row]) for row in mat]
+    snapshots = [dict(row) for row in rows]
+    callers = {id(row) for row in rows}
     columns = list(range(len(mat[0])))
     red = SparseReducer(p)
     for row in rows:
+        pivots = set(red.rows)
         red.add(row)
+        lead = min(row, default=None)
+        if lead is not None and lead not in pivots:
+            if row[lead] == 1:  # stored as it is: no copy
+                assert red.rows[lead] is row
+        else:  # reduced: the stored row is the reducer's own
+            assert not any(id(red.rows[q]) in callers for q in red.rows.keys() - pivots)
+    assert rows == snapshots  # add never mutates its argument
     rref = textbook_rref(rows, columns, p)
     assert red.rank == len(rref)
     assert set(red.rows) == {q for q, _ in rref}
