@@ -23,7 +23,6 @@ import os
 import stat
 import sys
 import tempfile
-from pathlib import Path
 
 from . import masks
 from .cohomology import DEFAULT_MAX_M, CohomologyEngine, prime_field
@@ -100,16 +99,17 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    target = Path(os.path.realpath(out))
+    target = os.path.realpath(out)
     tmp = None
     try:
-        existing = target.stat() if target.exists() else None
+        existing = os.stat(target) if os.path.exists(target) else None
         if existing and not stat.S_ISREG(existing.st_mode):
             with open(target, "w") as fh:
                 fh.write(text)
             return
         os.umask(umask := os.umask(0))  # the umask is read by setting it
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        folder, name = os.path.split(target)
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix=f".{name}.", suffix=".tmp")
         os.fchmod(fd, stat.S_IMODE(existing.st_mode) if existing else 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

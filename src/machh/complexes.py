@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import masks
@@ -22,14 +21,13 @@ def _check_ground_set(m: int) -> None:
         raise ResourceLimit(f"m = {m} exceeds the {masks.MAX_GROUND_SET}-vertex cap")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Downward-closed face family on [m] containing the empty face.
 
     Instances are frozen values, equal and hash-equal when m and the faces
-    are; all constructors return new values. For m >= 1 every singleton must
-    be a face (checked by ``from_facets``); m = 0 is the empty complex
-    ``{∅}`` arising from restriction to the empty subset.
+    are, and unpack as ``m, faces``; all constructors return new values. For
+    m >= 1 every singleton must be a face (checked by ``from_facets``); m = 0
+    is the empty complex ``{∅}`` arising from restriction to the empty subset.
     """
 
     m: int

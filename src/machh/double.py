@@ -30,7 +30,7 @@ row space, hence the pivots, of the full one, so the ranks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import CohomologyEngine
 from .linalg import dense_rank
@@ -38,8 +38,7 @@ from .linalg import dense_rank
 __all__ = ["BigradedRankTable", "h_ranks", "hh_ranks"]
 
 
-@dataclass(frozen=True)
-class BigradedRankTable:
+class BigradedRankTable(NamedTuple):
     """Map from bidegree (-k, 2l) to a positive rank; absent entries are zero."""
 
     entries: dict
@@ -68,8 +67,7 @@ class BigradedRankTable:
         return BigradedRankTable(entries)
 
 
-@dataclass
-class RowComplex:
+class RowComplex(NamedTuple):
     """One row (fixed degree p) of the cochain complex on H*(Z_K).
 
     ``groups[l]`` lists (subset mask, rank) with |I| = l and positive rank,

@@ -3,13 +3,14 @@
 Vectors are dicts from column keys to nonzero scalars; an echelon row is
 stored as its vector. Over GF(p) every scalar is an int in ``[0, p)``. Over
 Q scalars are ints until a pivot other than ±1 is divided out
-(``_normalize``), which is the only place a ``Fraction`` is made. For a
-nonzero scalar ``c`` of either field, ``p - c`` is ``-c``.
+(``_normalize``), which is the only place a ``Fraction`` is made and the only
+place ``fractions`` is imported, so a process that never meets such a pivot
+does not load it. For a nonzero scalar ``c`` of either field, ``p - c`` is
+``-c``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -29,8 +30,9 @@ def addmul(dst: dict, src: dict, c, p: int) -> None:
 def _normalize(vec: dict, d, p: int) -> dict:
     """vec scaled so that its entry d becomes 1.
 
-    Over Q a pivot other than ±1 divides through ``Fraction``. Coboundary
-    eliminations have not been seen to meet one; ``tests/test_linalg.py`` does.
+    Over Q a pivot other than ±1 divides through ``Fraction``, which this
+    branch alone imports. Coboundary eliminations have not been seen to meet
+    such a pivot; ``tests/test_linalg.py`` does.
     """
     if d == 1:
         return vec
@@ -39,6 +41,8 @@ def _normalize(vec: dict, d, p: int) -> dict:
     if p:
         inv = pow(d, -1, p)
         return {k: v * inv % p for k, v in vec.items()}
+    from fractions import Fraction
+
     return {k: Fraction(v) / d for k, v in vec.items()}
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
 from . import masks
 from .complexes import SimplicialComplex
@@ -36,10 +36,11 @@ def complex_from_dict(doc: dict, max_m: int | None = None) -> SimplicialComplex:
     return SimplicialComplex.from_facets(m, facets)
 
 
-def load_complex(path: str | Path, max_m: int | None = None) -> SimplicialComplex:
+def load_complex(path: str | os.PathLike, max_m: int | None = None) -> SimplicialComplex:
     """Read a complex document; ``max_m`` is as in ``complex_from_dict``."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bytes not UTF-8, nesting too deep

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import masks
 from .cohomology import DEFAULT_MAX_M, CohomologyEngine
@@ -12,8 +12,7 @@ from .double import _by_rows, hh_ranks
 from .errors import BadSigma, NotApplicable
 
 
-@dataclass(frozen=True)
-class Thm1Report:
+class Thm1Report(NamedTuple):
     """Outcome of the four gluing hypotheses for (K, sigma), |sigma| = n + 1.
 
     ``relabeling`` (old label -> new label) sends sigma's vertices in order onto
@@ -33,8 +32,7 @@ class Thm1Report:
         return [i + 1 for i, ok in enumerate(self.conditions) if not ok]
 
 
-@dataclass(frozen=True)
-class Thm1Verification:
+class Thm1Verification(NamedTuple):
     report: Thm1Report
     rank_before: int
     rank_after: int

@@ -337,7 +337,9 @@ class TestExitCodes:
         deep.write_text("[" * 10_000 + "]" * 10_000)
         latin = tmp_path / "latin.json"
         latin.write_bytes(b'{"m": 2, "facets": [[1], [2]], "labels": ["\xe9", "b"]}')
-        for path in (deep, latin):
+        folder = tmp_path / "folder.json"
+        folder.mkdir()
+        for path in (deep, latin, folder):
             for argv in (["hh", str(path)], ["check-thm1", str(path), "1,2"]):
                 code, out, err = run_main(capsys, *argv)
                 assert (code, out) == (2, ""), argv
@@ -535,6 +537,18 @@ class TestInstalledEntryPoint:
         code = "import sys, machh, machh.cli; print('machh.oracle' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=subprocess_env())
         assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
+
+    def test_request_path_loads_no_start_up_weight(self):
+        # -S reads no site .pth, so none can preload a module and hide its
+        # import; the difference from the interpreter's own modules leaves out
+        # any that the interpreter itself loads before machh
+        heavy = ["dataclasses", "decimal", "fractions", "inspect", "pathlib"]
+        code = (
+            "import sys; before = set(sys.modules); import machh, machh.cli; "
+            f"print(sorted(set({heavy!r}) & (sys.modules.keys() - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=subprocess_env())
+        assert (proc.returncode, proc.stdout) == (0, b"[]\n"), (proc.stdout, proc.stderr)
 
 
 # each spelling is one that ``int`` reads: an underscore, a sign or another

@@ -4,6 +4,9 @@ Entries in -3..3 make pivots other than ±1 common, which is the only way to
 reach the ``Fraction`` division over Q: no test complex produces one.
 """
 
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
 from machh.oracle import _matrix_rank, _null_space
 
-from conftest import reference_rank, rref_kernel_basis, textbook_rref
+from conftest import reference_rank, rref_kernel_basis, subprocess_env, textbook_rref
 
 int_matrices = st.integers(1, 8).flatmap(
     lambda ncols: st.lists(
@@ -121,3 +124,21 @@ def test_add_matches_textbook_rref(mat, p):
     assert red.rref_rows() == rref
     assert kernel_basis(red, columns) == rref_kernel_basis(red, columns)
     assert kernel_basis(red, columns[::-2]) == rref_kernel_basis(red, columns[::-2])
+
+
+def test_fraction_branch_imports_fractions_itself():
+    # the tests above import fractions first, so only a fresh interpreter (-S:
+    # no site .pth to preload it) sees _normalize make the import
+    code = textwrap.dedent("""
+        import sys
+        from machh.linalg import SparseReducer
+        assert "fractions" not in sys.modules
+        red = SparseReducer(0)
+        for row in [[2, 1], [1, 1]]:
+            red.add(dict(enumerate(row)))
+        from fractions import Fraction
+        exact = all(type(x) is Fraction for row in red.rows.values() for x in row.values())
+        print(red.rank, exact, red.rows == {0: {0: 1, 1: Fraction(1, 2)}, 1: {1: 1}})
+    """)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=subprocess_env())
+    assert (proc.returncode, proc.stdout) == (0, b"2 True True\n"), (proc.stdout, proc.stderr)
