@@ -18,14 +18,21 @@ meets two factors is built.
 
 Clearing (the "twist" of Chen-Kerber, EuroCG 2011, as in ``cohomology.py``).
 Let M_l be the differential from level l to level l - 1 of a row, so
-M_{l-1} M_l = 0, and the rows of M_l are indexed by the level-(l-1) basis,
-the columns of M_{l-1}. An echelon row r of M_{l-1} with leading column q
-satisfies r M_l = 0, so row q of M_l lies in the span of the rows after it.
-By downward induction over the pivots, the rows of M_l whose index is not a
-pivot of M_{l-1} span its whole row space. ``RowComplex.cohomology_ranks``
-therefore ranks the levels upwards, leaves those pivot rows out, and calls no
-``psi`` for a target whose rows are all left out. A cleared M_{l-1} has the
-row space, hence the pivots, of the full one, so the ranks are exact.
+M_l M_{l+1} = 0, and the rows of M_{l+1} are indexed by the level-l basis,
+the columns of M_l. Let Q be a column basis of M_l, found in any order, and
+W its row space. Projection onto the coordinates Q maps W onto k^Q, as
+M_l[:, Q] has rank |Q|, and dim W = |Q|, so it is an isomorphism. For q in Q
+some w in W is 1 at q and 0 on Q∖{q}, and w M_{l+1} = 0, so row q of
+M_{l+1} lies in the span of the rows outside Q. A linear relation among
+M_{l+1}'s columns on the rows outside Q therefore holds on every row: those
+rows give M_{l+1}'s rank, and a column basis over them is one of M_{l+1}.
+``RowComplex.cohomology_ranks`` ranks the levels upwards. It adds each
+level's columns, source by source in decreasing mask order, to one
+``SparseReducer`` over the rows left in; the columns that enlarge its span
+are the Q that the next level leaves out. No ``psi`` runs for a target whose
+rows are all left out. Once the rank equals the number of rows left in, no
+later column can enlarge the span, so the walk stops there with the rank
+and Q both exact, and no later source costs a ``psi``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cohomology import CohomologyEngine
-from .linalg import dense_rank
+from .linalg import SparseReducer, dense_rank
 
 __all__ = ["BigradedRankTable", "h_ranks", "hh_ranks"]
 
@@ -73,8 +80,14 @@ class RowComplex(NamedTuple):
     ``groups[l]`` lists (subset mask, rank) with |I| = l and positive rank,
     and ``dims[l]`` is their total. The block differential from cardinality l
     to l - 1 has its rows indexed by the level-(l-1) basis and its columns by
-    the level-l basis, with entries in the engine's field. ``cohomology_ranks``
-    builds only the rows that clearing keeps (module docstring).
+    the level-l basis, with entries in the engine's field.
+
+    ``cohomology_ranks`` ranks a level by its columns over the rows that the
+    level below leaves in, and holds no more than one source's columns at a
+    time. The columns that enlarge the span form a column basis Q, in
+    whatever order they came; the rows indexed by Q in the next level lie in
+    the span of the others, so that level leaves them out (module
+    docstring). A level stops at a rank equal to its number of rows left in.
     """
 
     p: int
@@ -82,56 +95,75 @@ class RowComplex(NamedTuple):
     dims: dict
     engine: CohomologyEngine
 
-    def _block(self, l: int, cleared) -> list[list]:
-        """The rows of the differential from l to l - 1 whose index is not in
-        ``cleared``, with the sign (-1)**(p+1) * epsilon(i, I) on the block
-        (I, I\\{i}). A target J whose rows are all cleared costs no ``psi``."""
-        ncols = self.dims[l]
-        mat = []
-        rows_of = {}
-        pos = 0
+    def _kept(self, l: int, cleared) -> tuple[dict, int]:
+        """The rows of the differential from l to l - 1 left in once the
+        row indices in ``cleared`` are left out: ``{J: [each row's index
+        among the kept rows, or None]}`` over the targets J with a row kept,
+        and the number of kept rows."""
+        kept = {}
+        n = pos = 0
         for J, b in self.groups[l - 1]:
-            rows = [None if r in cleared else [0] * ncols for r in range(pos, pos + b)]
-            kept = [row for row in rows if row is not None]
-            if kept:
-                rows_of[J] = rows
-                mat.extend(kept)
+            rows = []
+            for r in range(pos, pos + b):
+                if r in cleared:
+                    rows.append(None)
+                else:
+                    rows.append(n)
+                    n += 1
+            if rows.count(None) < b:
+                kept[J] = rows
             pos += b
-        engine, p = self.engine, self.p
-        char = engine.char
-        col = 0
-        for I, b in self.groups[l]:
-            wanted = 0
-            rest = I
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if I ^ low in rows_of:
-                    wanted |= low
-            if wanted:
-                # psi's blocks come column by column, one per representative of I
-                for i, block in engine.psi(I, p, wanted).items():
-                    rows = rows_of[I ^ i]
-                    # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i)
-                    positive = (p + (I & (i - 1)).bit_count()) % 2 == 1
-                    for c, values in enumerate(block, col):
-                        for row, v in zip(rows, values):
-                            if v and row is not None:
-                                # char - v is -v over Q (char 0) and over GF(char)
-                                row[c] = v if positive else char - v
-            col += b
-        return mat
+        return kept, n
+
+    def _columns(self, I: int, b: int, kept: dict, n: int) -> list[list] | None:
+        """The b columns of source I in the differential from |I| to |I| - 1,
+        each a dense list over the ``n`` rows of ``kept`` (``_kept``), with
+        the sign (-1)**(p+1) * epsilon(i, I) on the block (I\\{i}, I). A
+        target with no row kept costs no ``psi``; None if no target has one."""
+        wanted = 0
+        rest = I
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if I ^ low in kept:
+                wanted |= low
+        if not wanted:
+            return None
+        p, char = self.p, self.engine.char
+        cols = [[0] * n for _ in range(b)]
+        # psi's blocks come column by column, one per representative of I
+        for i, block in self.engine.psi(I, p, wanted).items():
+            rows = kept[I ^ i]
+            # ε(i, I)·(-1)**(p+1), with ε(i, I) = (-1)**(# elements of I below i)
+            positive = (p + (I & (i - 1)).bit_count()) % 2 == 1
+            for col, values in zip(cols, block):
+                for k, v in zip(rows, values):
+                    if v and k is not None:
+                        # char - v is -v over Q (char 0) and over GF(char)
+                        col[k] = v if positive else char - v
+        return cols
 
     def cohomology_ranks(self) -> dict:
-        """``{l: rank}`` of the row's cohomology, from the levels l upwards,
-        each ranked on the rows that the level below leaves uncleared."""
+        """``{l: rank}`` of the row's cohomology, from the levels l upwards.
+        Each level is ranked column by column, sources in decreasing mask
+        order, on the rows that the level below leaves uncleared, and stops
+        once its rank reaches their number (module docstring)."""
         ranks = {}
         cleared: set = set()
         for l in sorted(self.groups):
             pivots: set = set()
             if l - 1 in self.groups:
-                mat = self._block(l, cleared)
-                ranks[l] = dense_rank(mat, self.engine.char, pivots) if mat else 0
+                kept, n = self._kept(l, cleared)
+                red = SparseReducer(self.engine.char)
+                col = self.dims[l]
+                for I, b in reversed(self.groups[l]):
+                    if red.rank == n:
+                        break
+                    col -= b
+                    cols = self._columns(I, b, kept, n)
+                    if cols:
+                        pivots.update(col + c for c in dense_rank(cols, red))
+                ranks[l] = red.rank
             cleared = pivots
         out = {}
         for l, dim in self.dims.items():

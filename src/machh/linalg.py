@@ -11,6 +11,7 @@ does not load it. For a nonzero scalar ``c`` of either field, ``p - c`` is
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 
@@ -178,14 +179,8 @@ def kernel_basis(reducer: SparseReducer, columns: Sequence) -> list[dict]:
     return basis
 
 
-def dense_rank(mat: Sequence[Sequence], p: int, pivots: set | None = None) -> int:
-    """Rank of a dense matrix: its rows' nonzero entries go through a SparseReducer.
-
-    The column indices of the echelon pivots are added to ``pivots`` if given.
-    """
-    red = SparseReducer(p)
-    for row in mat:
-        red.add({j: x for j, x in enumerate(row) if x})
-    if pivots is not None:
-        pivots.update(red.rows)
-    return red.rank
+def dense_rank(mat: Sequence[Sequence], red: SparseReducer) -> list[int]:
+    """Add the nonzero entries of each row of a dense matrix to ``red``, in
+    order; returns the indices of the rows that enlarged its span. A row's
+    nonzeros are found by ``compress``, which skips its zeros in C."""
+    return [r for r, row in enumerate(mat) if red.add({j: row[j] for j in compress(range(len(row)), row)})]

@@ -209,7 +209,8 @@ def reference_psi(eng: M.CohomologyEngine, I: int, i: int, p: int) -> list[list]
 
 def full_blocks(row: RowComplex) -> dict:
     """``{l: block differential from l to l - 1}`` of a row, every block in
-    full as a dense list of lists: nothing cleared, and no ``_block`` call.
+    full as a dense list of lists: nothing cleared, and no ``RowComplex``
+    method called.
 
     Rows follow the order of ``groups[l - 1]`` and columns that of
     ``groups[l]``. The block (I∖i, I) is ``reference_psi(I, i)`` times
@@ -249,6 +250,24 @@ def reference_rank(mat: list[list], char: int) -> int:
         return _matrix_rank([[Fraction(x) for x in row] for row in mat])
     columns = list(range(len(mat[0]) if mat else 0))
     return len(textbook_rref([dict(enumerate(row)) for row in mat], columns, char))
+
+
+def greedy_rows(mat: list[list], char: int) -> list[int]:
+    """Indices of the rows of ``mat`` that enlarge the span of the rows
+    before them, each decided by ``reference_rank``."""
+    return [r for r in range(len(mat)) if reference_rank(mat[: r + 1], char) > reference_rank(mat[:r], char)]
+
+
+def row_columns(row: RowComplex, l: int) -> list[list]:
+    """The columns of a row's differential from l to l - 1, in the order of
+    ``groups[l]``, as ``RowComplex._columns`` builds them with nothing
+    cleared: each a dense list over every row of level l - 1. A source with
+    no target gives zero columns, as ``full_blocks`` has them."""
+    kept, n = row._kept(l, frozenset())
+    cols = []
+    for I, b in row.groups[l]:
+        cols.extend(row._columns(I, b, kept, n) or [[0] * n for _ in range(b)])
+    return cols
 
 
 def uncleared_row_ranks(row: RowComplex) -> dict:

@@ -12,7 +12,7 @@ from machh import masks
 from machh.cohomology import CohomologyEngine, SubsetCohomology, _minimal_non_faces, prime_field
 from machh.double import h_ranks, hh_ranks
 from machh.errors import InternalInconsistency, NotApplicable
-from machh.linalg import SparseReducer, dense_rank, kernel_basis
+from machh.linalg import SparseReducer, kernel_basis
 from machh.oracle import oracle_reduced_betti
 from machh.theorem import verify_theorem1
 
@@ -27,7 +27,9 @@ from conftest import (
     psi_block,
     random_complex,
     reference_psi,
+    reference_rank,
     relabelled_joins,
+    row_columns,
     row_of,
     rref_kernel_basis,
     simplex,
@@ -122,7 +124,7 @@ class TestInducedMapPsi:
         cols = psi_block(CohomologyEngine(pts), masks.full_mask(3), 3, 0)
         # two source representatives, one coordinate each
         assert len(cols) == 2 and len(cols[0]) == 1
-        assert dense_rank(cols, 0) == 1
+        assert reference_rank(cols, 0) == 1
 
     def test_square_to_contractible_path(self, square):
         cols = psi_block(CohomologyEngine(square), masks.full_mask(4), 2, 1)
@@ -208,7 +210,7 @@ class TestScalarTypes:
             row = row_of(eng, p)
             for l in row.groups:
                 if l - 1 in row.groups:
-                    yield from (x for r in row._block(l, frozenset()) for x in r)
+                    yield from (x for col in row_columns(row, l) for x in col)
         # psi below may build a cone target that no rank built, so build every
         # subset first and walk a snapshot of the cache
         for I in range(1 << K.m):
@@ -1069,9 +1071,10 @@ class TestPsiPerSource:
 
 
 class TestRowBlocks:
-    """``RowComplex._block`` with nothing cleared equals ``conftest.full_blocks``,
-    which builds each block from ``reference_psi`` and the sign alone, on
-    every level of every row over the whole vertex set and over each factor."""
+    """``RowComplex._columns`` with nothing cleared (``conftest.row_columns``)
+    equals the columns of ``conftest.full_blocks``, which builds each block
+    from ``reference_psi`` and the sign alone, on every level of every row
+    over the whole vertex set and over each factor."""
 
     @staticmethod
     def assert_blocks_match(eng: CohomologyEngine) -> None:
@@ -1081,7 +1084,7 @@ class TestRowBlocks:
                 blocks = full_blocks(row)
                 for l in blocks:
                     where = (eng.K, masks.mask_str(V), p, l)
-                    assert row._block(l, frozenset()) == blocks[l], where
+                    assert row_columns(row, l) == [list(col) for col in zip(*blocks[l])], where
 
     @settings(max_examples=60, deadline=None)
     @given(complexes(max_m=7) | relabelled_joins(max_m=7) | relabelled_k2r(), FIELDS)

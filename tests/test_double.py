@@ -1,15 +1,17 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import machh as M
-from machh import masks
+from machh import double, masks
 from machh.cohomology import CohomologyEngine
 from machh.double import h_ranks, hh_ranks
 from machh.errors import ResourceLimit
+from machh.linalg import dense_rank
 from machh.oracle import oracle_hh_rows
 from machh.serialization import complex_from_dict, complex_to_dict
 
@@ -22,10 +24,11 @@ from conftest import (
     permute_complex,
     random_complex,
     random_permutation,
+    reference_rank,
     relabelled_joins,
+    row_columns,
     row_of,
     simplex,
-    textbook_rref,
     uncleared_row_ranks,
     unfactored_h_ranks,
     unfactored_hh_ranks,
@@ -90,8 +93,8 @@ class TestEngineCarriesTheRequest:
         points = M.SimplicialComplex.from_facets(3, [[1], [2], [3]])
         row = row_of(CohomologyEngine(points, gf3), 0)
         assert row.engine.char == gf3
-        mats = [row._block(l, frozenset()) for l in row.groups if l - 1 in row.groups]
-        entries = [x for mat in mats for r in mat for x in r]
+        mats = [row_columns(row, l) for l in row.groups if l - 1 in row.groups]
+        entries = [x for mat in mats for col in mat for x in col]
         assert entries and all(type(x) is int and 0 <= x < 3 for x in entries)
         assert 2 in entries  # a block sign of -1, reduced mod 3
 
@@ -228,10 +231,52 @@ class TestJoinFactorisation:
 
 
 class TestClearing:
-    """Each row is ranked on the rows that clearing keeps. This checks it
-    against the full blocks ``full_blocks(row)`` ranked by a reference
-    elimination, and checks that ``psi`` runs for exactly the targets with a
-    row left in."""
+    """Each level of a row is ranked column by column, sources in decreasing
+    mask order, on the rows that the level below leaves uncleared, and stops
+    once its rank reaches their number. This checks the ranks against the
+    full blocks ``full_blocks(row)`` ranked by a reference elimination, and
+    the pivots and the ``psi`` calls, in order and with their targets,
+    against the same rule applied to the full blocks with
+    ``reference_rank``."""
+
+    @staticmethod
+    def reference_walk(row, blocks) -> tuple[dict, list]:
+        """``({l: pivots}, [(source, its psi targets)])`` of the rule on a
+        row's full blocks: a greedy column basis over the kept rows, sources
+        in decreasing mask order, stopped at the kept count. A source is
+        called for its targets with a row kept, if it has one."""
+        char = row.engine.char
+        pivots, calls = {}, []
+        cleared: set = set()
+        for l in sorted(row.groups):
+            mat = blocks.get(l)
+            found = set()
+            if mat is not None:
+                kept = [r for r in range(row.dims[l - 1]) if r not in cleared]
+                rows_of, pos = {}, 0
+                for J, b in row.groups[l - 1]:
+                    rows_of[J], pos = set(range(pos, pos + b)), pos + b
+                sources, col = [], 0
+                for I, b in row.groups[l]:
+                    sources.append((I, range(col, col + b)))
+                    col += b
+                basis = []
+                for I, cols in reversed(sources):
+                    if len(basis) == len(kept):
+                        break
+                    reached = {I & ~masks.bit(i) for i in masks.vertices(I)}
+                    called = {J for J in reached if rows_of.get(J, set()) - cleared}
+                    if not called:
+                        continue
+                    calls.append((I, called))
+                    for c in cols:
+                        column = [mat[r][c] for r in kept]
+                        if reference_rank(basis + [column], char) > len(basis):
+                            basis.append(column)
+                            found.add(c)
+            pivots[l] = found
+            cleared = found
+        return pivots, calls
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -240,28 +285,60 @@ class TestClearing:
     )
     def test_cleared_equals_full(self, K, char):
         engine = CohomologyEngine(K, char)
-        targets = []
+        calls = []  # (source, its targets, the columns that enlarged the span)
         psi = engine.psi
-        engine.psi = lambda I, p, vertices: (
-            targets.extend(I & ~masks.bit(i) for i in masks.vertices(vertices)) or psi(I, p, vertices)
-        )
+
+        def psi_spy(I, p, vertices):
+            calls.append((I, {I & ~masks.bit(i) for i in masks.vertices(vertices)}, []))
+            return psi(I, p, vertices)
+
+        def rank_spy(mat, red):
+            enlarged = dense_rank(mat, red)
+            calls[-1][2].extend(enlarged)
+            return enlarged
+
+        engine.psi = psi_spy
         for p in range(-1, K.dim() + 1):
             row = row_of(engine, p)
-            del targets[:]
-            ranks = row.cohomology_ranks()
-            called = set(targets)
+            del calls[:]
+            with mock.patch.object(double, "dense_rank", rank_spy):
+                ranks = row.cohomology_ranks()
             assert ranks == uncleared_row_ranks(row), (K, p)
             blocks = full_blocks(row)
-            expected = set()
+            pivots, expected = self.reference_walk(row, blocks)
+            assert [(I, targets) for I, targets, _ in calls] == expected, (K, p)
+            first = {}
+            for sources in row.groups.values():
+                col = 0
+                for I, b in sources:
+                    first[I], col = col, col + b
+            found = {l: set() for l in row.groups}
+            for I, _, enlarged in calls:
+                found[I.bit_count()].update(first[I] + c for c in enlarged)
+            assert found == pivots, (K, p)
             for l, mat in blocks.items():
-                below = blocks.get(l - 1)
-                columns = list(range(row.dims[l - 1]))
-                rref = textbook_rref([dict(enumerate(r)) for r in below or ()], columns, char)
-                cleared = {q for q, _ in rref}
-                reached = {I & ~masks.bit(i) for I, _ in row.groups[l] for i in masks.vertices(I)}
-                pos = 0
-                for J, b in row.groups[l - 1]:
-                    if J in reached and any(r not in cleared for r in range(pos, pos + b)):
-                        expected.add(J)
-                    pos += b
-            assert called == expected, (K, p)
+                basis = [[r[c] for c in sorted(pivots[l])] for r in mat]
+                assert reference_rank(basis, char) == len(pivots[l]) == reference_rank(mat, char), (K, p, l)
+
+
+class TestRankTenOnSevenVertices:
+    """A complex on 7 vertices with double cohomology of rank 10, where the
+    k2r family needs 8 vertices. Its row complex has three nonzero rows, and
+    the engine over Q and over GF(32003) and the oracle agree on them."""
+
+    FACETS = [
+        [2, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5], [1, 2, 4, 6], [1, 3, 4, 6],
+        [2, 5, 6], [3, 5, 6], [1, 4, 5, 6], [1, 2, 3, 7], [1, 5, 7], [2, 5, 7],
+        [3, 5, 7], [4, 5, 7], [1, 6, 7], [2, 4, 6, 7], [3, 4, 6, 7],
+    ]
+    ROWS = {-1: 1, 1: 5, 2: 4}
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_engine_rows(self, char):
+        K = M.SimplicialComplex.from_facets(7, self.FACETS)
+        table = hh_ranks(CohomologyEngine(K, char))
+        assert table.rows() == self.ROWS
+        assert table.total() == 10
+
+    def test_oracle_rows(self):
+        assert oracle_hh_rows(M.SimplicialComplex.from_facets(7, self.FACETS)) == self.ROWS

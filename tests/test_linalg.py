@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from machh.linalg import SparseReducer, dense_rank, kernel_basis
 from machh.oracle import _matrix_rank, _null_space
 
-from conftest import reference_rank, rref_kernel_basis, subprocess_env, textbook_rref
+from conftest import greedy_rows, reference_rank, rref_kernel_basis, subprocess_env, textbook_rref
 
 int_matrices = st.integers(1, 8).flatmap(
     lambda ncols: st.lists(
@@ -42,7 +42,10 @@ def reducer_of(mat, p: int = 0) -> SparseReducer:
 @example([[2, 1], [1, 1]])
 def test_rank_over_q_matches_oracle(mat):
     assert reducer_of(mat).rank == _matrix_rank([[Fraction(x) for x in row] for row in mat])
-    assert dense_rank(mat, 0) == reducer_of(mat).rank
+    red = SparseReducer(0)
+    chosen = dense_rank(mat, red)
+    assert chosen == greedy_rows(mat, 0)
+    assert len(chosen) == red.rank == reducer_of(mat).rank
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,7 +96,10 @@ def test_rank_over_gf_matches_dense(mat, p):
     reduced = [[x % p for x in row] for row in mat]
     red = reducer_of(reduced, p)
     assert red.rank == reference_rank(reduced, p)
-    assert dense_rank(reduced, p) == red.rank
+    dense = SparseReducer(p)
+    chosen = dense_rank(reduced, dense)
+    assert chosen == greedy_rows(reduced, p)
+    assert len(chosen) == dense.rank == red.rank
     for vec in red.rows.values():
         assert all(type(x) is int and 0 < x < p for x in vec.values())
 

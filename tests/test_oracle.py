@@ -10,7 +10,7 @@ import machh as M
 from machh.cohomology import CohomologyEngine
 from machh.double import hh_ranks
 from machh.errors import ResourceLimit
-from machh.linalg import dense_rank
+from machh.linalg import SparseReducer, dense_rank
 from machh.oracle import (
     _SubsetQuotient,
     _cells_by_degree,
@@ -102,7 +102,10 @@ class TestDenseRankOracle:
     @given(sparse_matrices)
     def test_rank_agreement(self, rows):
         mat = [[Fraction(x) for x in row] for row in rows]
-        assert dense_rank(mat, 0) == _matrix_rank(mat)
+        red = SparseReducer(0)
+        chosen = dense_rank(mat, red)
+        assert len(chosen) == red.rank == _matrix_rank(mat)
+        assert _matrix_rank([mat[r] for r in chosen]) == len(chosen)
 
 
 def probe_reps(faces: list[tuple], subset: tuple, p: int) -> list[list[Fraction]]:
