@@ -28,11 +28,12 @@ M_{l+1}'s columns on the rows outside Q therefore holds on every row: those
 rows give M_{l+1}'s rank, and a column basis over them is one of M_{l+1}.
 ``RowComplex.cohomology_ranks`` ranks the levels upwards. It adds each
 level's columns, source by source in decreasing mask order, to one
-``SparseReducer`` over the rows left in; the columns that enlarge its span
-are the Q that the next level leaves out. No ``psi`` runs for a target whose
-rows are all left out. Once the rank equals the number of rows left in, no
-later column can enlarge the span, so the walk stops there with the rank
-and Q both exact, and no later source costs a ``psi``.
+``SparseReducer`` over the rows left in. Source I's columns that enlarge its
+span, as ``dense_rank`` numbers them, are I's part of Q: the rows of target
+I that the next level leaves out. No ``psi`` runs for a target whose rows are
+all left out. Once the rank equals the number of rows left in, no later
+column can enlarge the span, so the walk stops there with the rank and Q
+both exact, and no later source costs a ``psi``.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class RowComplex(NamedTuple):
     ``cohomology_ranks`` ranks a level by its columns over the rows that the
     level below leaves in, and holds no more than one source's columns at a
     time. The columns that enlarge the span form a column basis Q, in
-    whatever order they came; the rows indexed by Q in the next level lie in
-    the span of the others, so that level leaves them out (module
-    docstring). A level stops at a rank equal to its number of rows left in.
+    whatever order they came, kept per source I as ``picked[I]``. The next
+    level leaves out the rows of Q, which lie in the span of the others
+    (module docstring). A level stops once its kept rows are spanned.
     """
 
     p: int
@@ -95,24 +96,25 @@ class RowComplex(NamedTuple):
     dims: dict
     engine: CohomologyEngine
 
-    def _kept(self, l: int, cleared) -> tuple[dict, int]:
-        """The rows of the differential from l to l - 1 left in once the
-        row indices in ``cleared`` are left out: ``{J: [each row's index
-        among the kept rows, or None]}`` over the targets J with a row kept,
-        and the number of kept rows."""
+    def _kept(self, l: int, picked: dict) -> tuple[dict, int]:
+        """The rows of the differential from l to l - 1 left in once each
+        target J leaves out its rows in ``picked[J]`` (``cohomology_ranks``):
+        ``{J: [each row's index among the kept rows, or None]}`` over the
+        targets J with a row kept, and the number of kept rows."""
         kept = {}
-        n = pos = 0
+        n = 0
         for J, b in self.groups[l - 1]:
+            out = picked.get(J, ())
+            if len(out) == b:
+                continue
             rows = []
-            for r in range(pos, pos + b):
-                if r in cleared:
+            for k in range(b):
+                if k in out:
                     rows.append(None)
                 else:
                     rows.append(n)
                     n += 1
-            if rows.count(None) < b:
-                kept[J] = rows
-            pos += b
+            kept[J] = rows
         return kept, n
 
     def _columns(self, I: int, b: int, kept: dict, n: int) -> list[list] | None:
@@ -149,22 +151,18 @@ class RowComplex(NamedTuple):
         order, on the rows that the level below leaves uncleared, and stops
         once its rank reaches their number (module docstring)."""
         ranks = {}
-        cleared: set = set()
+        picked: dict = {}  # {source I of any level: its columns that enlarged the span}
         for l in sorted(self.groups):
-            pivots: set = set()
             if l - 1 in self.groups:
-                kept, n = self._kept(l, cleared)
+                kept, n = self._kept(l, picked)
                 red = SparseReducer(self.engine.char)
-                col = self.dims[l]
                 for I, b in reversed(self.groups[l]):
                     if red.rank == n:
                         break
-                    col -= b
                     cols = self._columns(I, b, kept, n)
                     if cols:
-                        pivots.update(col + c for c in dense_rank(cols, red))
+                        picked[I] = set(dense_rank(cols, red))
                 ranks[l] = red.rank
-            cleared = pivots
         out = {}
         for l, dim in self.dims.items():
             r = dim - ranks.get(l, 0) - ranks.get(l + 1, 0)

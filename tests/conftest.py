@@ -263,7 +263,7 @@ def row_columns(row: RowComplex, l: int) -> list[list]:
     ``groups[l]``, as ``RowComplex._columns`` builds them with nothing
     cleared: each a dense list over every row of level l - 1. A source with
     no target gives zero columns, as ``full_blocks`` has them."""
-    kept, n = row._kept(l, frozenset())
+    kept, n = row._kept(l, {})
     cols = []
     for I, b in row.groups[l]:
         cols.extend(row._columns(I, b, kept, n) or [[0] * n for _ in range(b)])

@@ -342,3 +342,50 @@ class TestRankTenOnSevenVertices:
 
     def test_oracle_rows(self):
         assert oracle_hh_rows(M.SimplicialComplex.from_facets(7, self.FACETS)) == self.ROWS
+
+
+class TestKept:
+    """``RowComplex._kept(l, picked)`` leaves out row k of target J exactly
+    when k is in ``picked[J]``, the columns of J picked one level down, and
+    numbers the kept rows 0..n-1 in target order. Checked on the top level
+    of the rank-ten complex's row 2: one source, the whole vertex set, over
+    seven targets of two or more rows each."""
+
+    @pytest.fixture
+    def row(self):
+        K = M.SimplicialComplex.from_facets(7, TestRankTenOnSevenVertices.FACETS)
+        return row_of(CohomologyEngine(K), 2)
+
+    def test_picked_rows_are_left_out(self, row):
+        targets = row.groups[6]
+        assert [I for I, _ in row.groups[7]] == [masks.full_mask(7)]
+        assert len(targets) == 7 and min(b for _, b in targets) >= 2
+        (J0, b0), (J1, _), (J2, b2) = targets[:3]
+        picked = {J0: set(range(b0)), J1: {0}, J2: {b2 - 1}}
+        kept, n = row._kept(7, picked)
+        assert list(kept) == [J for J, _ in targets[1:]]
+        assert n == row.dims[6] - sum(len(ks) for ks in picked.values())
+        assert [k for rows in kept.values() for k in rows if k is not None] == list(range(n))
+        for J, b in targets[1:]:
+            assert len(kept[J]) == b
+            assert {k for k, r in enumerate(kept[J]) if r is None} == picked.get(J, set()), J
+        assert kept[J1][:2] == [None, 0]
+
+        calls = []
+        psi = row.engine.psi
+
+        def psi_spy(I, p, vertices):
+            calls.append({I & ~masks.bit(i) for i in masks.vertices(vertices)})
+            return psi(I, p, vertices)
+
+        row.engine.psi = psi_spy
+        (I, b), = row.groups[7]
+        cols = row._columns(I, b, kept, n)
+        assert calls == [set(kept)]  # every target but J0, whose rows are all picked
+        assert len(cols) == b and all(len(col) == n for col in cols)
+
+    def test_nothing_picked_keeps_every_row(self, row):
+        kept, n = row._kept(7, {})
+        assert n == row.dims[6]
+        assert list(kept) == [J for J, _ in row.groups[6]]
+        assert [k for rows in kept.values() for k in rows] == list(range(n))
