@@ -3,7 +3,10 @@
 Exit codes: 0 success, 5 verdict or verification mismatch (a bug or a
 counterexample); a library error exits with its class's ``exit_code`` (see
 ``errors``), a ``ValueError`` from a type accident in the input with 2, and
-running out of memory with 3, the resource-limit code.
+running out of memory with 3, the resource-limit code. Near an address-space
+limit CPython 3.11 can fail an allocation with a ``SystemError`` that names no
+exception in place of a ``MemoryError``; it exits 3 too while ``RLIMIT_AS``
+is finite, and is raised as the interpreter fault it otherwise is.
 
 ``main`` pauses Python's cyclic garbage collector for one request and then
 restores the caller's setting. The engine's data are acyclic trees of dicts
@@ -20,6 +23,7 @@ import contextlib
 import functools
 import gc
 import os
+import resource
 import stat
 import sys
 import tempfile
@@ -322,7 +326,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
-    except MemoryError:
+    except (MemoryError, SystemError) as exc:
+        if isinstance(exc, SystemError) and resource.getrlimit(resource.RLIMIT_AS)[0] == resource.RLIM_INFINITY:
+            raise  # an interpreter fault: only under a finite limit is it out of memory (module docstring)
         sys.stderr.write("ResourceLimit: out of memory\n")
         return ResourceLimit.exit_code
     finally:

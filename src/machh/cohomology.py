@@ -18,10 +18,10 @@ No elimination runs whose result is already fixed:
   hence a cycle, and t comes first in its support, so the boundary of t lies
   in the span of the boundaries of later (p+1)-simplices; by downward
   induction over the pivots, the rows kept span the same row space. The
-  rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged. So the
-  first ``delta_reducer`` call of a subset, made by the first Betti number
-  or basis that needs one, eliminates every degree in one pass from the top
-  degree down; b_{-1} reads the 0-faces alone.
+  rank, ``rref_rows`` and ``kernel_basis`` are therefore unchanged. So a
+  subset ends its construction with one ``delta_reducer`` call, which
+  eliminates every degree in one pass from the top degree down; b_{-1} reads
+  the 0-faces alone.
 - One coboundary row per face per engine. The row of a face t depends only
   on t and the field, so the engine keeps one table of them, made on first
   need and never mutated, and every subset reads it. The row leads with +1,
@@ -54,17 +54,18 @@ No elimination runs whose result is already fixed:
   K_J's, so a stored row of K_J's ``delta_reducer(p)`` is an echelon row of
   K_I's with the same pivot. Only the faces through v are new: they are the
   g ∪ v with g a face of K_J and g ∪ v a face of K. ``simplices`` merges them
-  in, and each reducer starts from K_J's rows and adds only the rows of the
-  (p+1)-faces through v. Clearing stays sound: K_J's ``delta_reducer(p+1)``
-  pivots are pivots of K_I's, so every row that K_J cleared K_I clears too,
-  and a row that K_J kept and K_I would clear is redundant, not wrong. The
-  pivot set, ``rref_rows``, ``kernel_basis`` and ``basis`` depend only on the
-  row space, so they equal those of K_I built from scratch. Parent and child
-  share the stored rows, which are never mutated (``SparseReducer``). A root
-  K_I, one with no cached parent, groups its faces inside I alone: each
-  p-face is a (p-1)-face g plus a vertex b of I above g's top vertex, so
-  it is made once, and with b in the outer loop the p-faces come out in
-  order, those with top vertex b after all with a lower top.
+  in, and the pass, run as K_I is built, starts each reducer from K_J's rows
+  and adds only the rows of the (p+1)-faces through v, as the merge listed
+  them. Clearing stays sound: K_J's ``delta_reducer(p+1)`` pivots are pivots
+  of K_I's, so every row that K_J cleared K_I clears too, and a row that K_J
+  kept and K_I would clear is redundant, not wrong. The pivot set,
+  ``rref_rows``, ``kernel_basis`` and ``basis`` depend only on the row space,
+  so they equal those of K_I built from scratch. Parent and child share the
+  stored rows, which are never mutated (``SparseReducer``). A root K_I, one
+  with no cached parent, groups its faces inside I alone, and every one of
+  them is new: each p-face is a (p-1)-face g plus a vertex b of I above g's
+  top vertex, so it is made once, and with b in the outer loop the p-faces
+  come out in order, those with top vertex b after all with a lower top.
 - One subset per twin orbit. Vertices a and b are twins when swapping them
   maps the minimal non-faces onto themselves; as K is the set of masks that
   contain no minimal non-face, the swap is then an automorphism of K. Twins
@@ -213,14 +214,15 @@ class CohomologyBasis:
 
 
 class SubsetCohomology:
-    """All cochain degrees of one full subcomplex K_I, computed lazily.
+    """All cochain degrees of one full subcomplex K_I: its faces are grouped
+    and every delta_p is eliminated when it is built, its bases on first use.
 
     ``rows`` is the engine's table of coboundary rows, which every subset of
     the engine shares; the subset's field is the table's ``char`` (0 for Q).
     ``CohomologyEngine.subset`` is the one maker.
     """
 
-    __slots__ = ("I", "char", "simplices", "max_p", "_parent", "_rows", "_delta", "_basis")
+    __slots__ = ("I", "char", "simplices", "max_p", "_parent", "_rows", "_new", "_delta", "_basis")
 
     def __init__(
         self,
@@ -243,54 +245,53 @@ class SubsetCohomology:
                 self.simplices[p] = group
                 group = [f for b in bits for g in group if g < b and (f := g | b) in faces]
                 p += 1
+            self._new = self.simplices  # every face is new
         else:
             # the faces through v are the parent's faces plus v that are faces of K
             v = I ^ parent.I
+            self._new = new = {}
             below = ()
             for p, group in parent.simplices.items():
-                through = [f for g in below if (f := g | v) in faces]
+                through = new[p] = [f for g in below if (f := g | v) in faces]
                 self.simplices[p] = sorted(group + through) if through else group
                 below = group
             through = [f for g in below if (f := g | v) in faces]
             if through:
-                self.simplices[parent.max_p + 1] = through
+                self.simplices[parent.max_p + 1] = new[parent.max_p + 1] = through
         self.max_p = max(self.simplices)
         self._delta: dict[int, SparseReducer] = {}
         self._basis: dict[int, CohomologyBasis] = {}
+        self.delta_reducer(-1)  # runs the pass
 
     def delta_reducer(self, p: int) -> SparseReducer:
         """Echelon form of delta_p, rows indexed by the (p+1)-simplices, columns
         by the p-simplices in the keys' own ``<`` order.
 
         The row of t is the table's ``_delta_row``, which leads with +1 at t
-        minus its largest vertex. The first call eliminates every degree in
-        one pass from ``max_p`` down to -1, each clearing the rows of the
-        pivots of the degree above it; with a parent K_{I∖v} each reducer
-        starts from the parent's rows and takes only the faces through v.
-        Later calls look the reducer up. Any other delta_p is zero, as its
-        only row is the empty face's (p = -2) or it has none, and gets a
-        fresh empty reducer.
+        minus its largest vertex. The call that ends ``__init__`` eliminates
+        every degree in one pass from ``max_p`` down to -1, each clearing the
+        rows of the pivots of the degree above it: each reducer starts from
+        the parent's rows (a root has none) and adds the rows of the new
+        (p+1)-faces, whose lists the pass then drops. Later calls look the
+        reducer up. Any other delta_p is zero, as its only row is the empty
+        face's (p = -2) or it has none, and gets a fresh empty reducer.
         """
-        delta = self._delta
-        if not delta:
-            parent = self._parent
-            if parent is None:
-                new, inherited = self.I, {}  # every face but the empty one, whose row is zero
-            else:
-                parent.delta_reducer(-1)  # runs the parent's pass if it has not run
-                new, inherited = self.I ^ parent.I, parent._delta
+        new = self._new
+        if new is not None:
+            self._new = None
+            inherited = self._parent._delta if self._parent else {}
             table = self._rows
             cleared: dict = {}
             for d in range(self.max_p, -2, -1):
                 red = SparseReducer(self.char)
                 if d in inherited:
                     red.rows.update(inherited[d].rows)
-                for t in self.simplices.get(d + 1, ()):
-                    if t & new and t not in cleared:
+                for t in new.get(d + 1, ()):
+                    if t not in cleared:
                         red.add(table[t])
-                delta[d] = red
+                self._delta[d] = red
                 cleared = red.rows
-        red = delta.get(p)
+        red = self._delta.get(p)
         return red if red is not None else SparseReducer(self.char)
 
     def betti(self, p: int) -> int:
@@ -301,8 +302,6 @@ class SubsetCohomology:
         if p == -1:
             return 0 if self.simplices.get(0) else 1
         delta = self._delta
-        if not delta:
-            self.delta_reducer(-1)  # runs the pass, which fills every degree from max_p to -1
         return len(self.simplices[p]) - delta[p].rank - delta[p - 1].rank
 
     def basis(self, p: int) -> CohomologyBasis:

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -290,6 +291,23 @@ class TestExitCodes:
 
         monkeypatch.setattr("machh.cli.hh_ranks", fail)
         assert run_main(capsys, "hh", square_file) == (3, "", "ResourceLimit: out of memory\n")
+
+    @pytest.mark.parametrize("limited", [True, False], ids=["finite-limit", "no-limit"])
+    def test_system_error_is_a_resource_limit_only_under_a_limit(
+        self, capsys, square_file, monkeypatch, limited
+    ):
+        # CPython 3.11 can fail an allocation near RLIMIT_AS with this SystemError
+        def fail(argv):
+            raise SystemError("error return without exception set")
+
+        limit = 1 << 27 if limited else resource.RLIM_INFINITY
+        monkeypatch.setattr("machh.cli._run", fail)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+        if limited:
+            assert run_main(capsys, "hh", square_file) == (3, "", "ResourceLimit: out of memory\n")
+        else:
+            with pytest.raises(SystemError, match="error return without exception set"):
+                main(["hh", square_file])
 
     def test_inherit_from_an_unrelated_engine_is_a_bug(self, capsys, square_file, monkeypatch):
         # a glued complex equal to K cannot take over K's subsets: exit 5, not an input error
